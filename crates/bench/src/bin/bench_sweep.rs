@@ -6,7 +6,8 @@
 //! a serial sweep), measures wall time / events per second / peak queue
 //! depth per cell, and writes `BENCH_machine.json`. With `--baseline`,
 //! compares throughput against a previously recorded file and fails on
-//! regressions beyond the tolerance.
+//! regressions beyond the tolerance, on a baseline of another schema,
+//! and on a baseline that matches no cell.
 //!
 //! ```text
 //! bench_sweep [--apps fmm] [--seeds 2007] [--ops 20000] [--grids 4x4,8x8]
@@ -18,8 +19,8 @@
 use std::process::ExitCode;
 
 use bench::sweep::{
-    compare, default_grid, parse_bench_json, parse_bench_schema, run_sweep_workers,
-    write_bench_json, Comparison, BENCH_SCHEMA,
+    compare, default_grid, gate, parse_bench_json, parse_bench_schema, run_sweep_workers,
+    write_bench_json, Comparison,
 };
 use ring_coherence::ProtocolVariant;
 use ring_stats::{Align, Table};
@@ -293,35 +294,15 @@ fn main() -> ExitCode {
         for cell in &c.unmatched {
             eprintln!("no baseline row for {cell}");
         }
-        // Wall-clock numbers are comparable across schema versions, but
-        // the gate only *fails* on same-schema baselines: a schema bump
-        // changes what a row carries, so a cross-version regression is a
-        // warning to investigate, not a hard CI failure.
-        let cross_schema = baseline_schema.as_deref() != Some(BENCH_SCHEMA);
-        if cross_schema {
-            eprintln!(
-                "warning: baseline schema {} differs from current {BENCH_SCHEMA}; \
-                 regressions will warn instead of fail",
-                baseline_schema.as_deref().unwrap_or("<none>")
-            );
+        if let Err(why) = gate(c, baseline_schema.as_deref(), args.tolerance) {
+            eprintln!("{why}");
+            return ExitCode::FAILURE;
         }
-        let floor = 1.0 - args.tolerance;
-        if c.min_ratio < floor {
-            eprintln!(
-                "PERF REGRESSION: min events/sec ratio {:.3} below tolerance floor {:.3} \
-                 (baseline {})",
-                c.min_ratio, floor, c.baseline_path
-            );
-            if !cross_schema {
-                return ExitCode::FAILURE;
-            }
-            eprintln!("cross-schema baseline: regression reported as warning only");
-        } else {
-            println!(
-                "baseline check passed: min ratio x{:.2} (floor {:.2})",
-                c.min_ratio, floor
-            );
-        }
+        println!(
+            "baseline check passed: min ratio x{:.2} (floor {:.2})",
+            c.min_ratio,
+            1.0 - args.tolerance
+        );
     }
     ExitCode::SUCCESS
 }

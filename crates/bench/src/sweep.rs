@@ -23,11 +23,11 @@ use ring_workloads::AppProfile;
 ///
 /// v2 adds per-row read-latency percentiles (`lat_p50`, `lat_p99`) and
 /// a top-level `git_commit` stamp. [`parse_bench_json`] still reads v1
-/// documents (the extra fields are simply absent); cross-schema
-/// comparisons should warn, not fail — see [`parse_bench_schema`].
+/// documents (the extra fields are simply absent), but [`gate`] refuses
+/// to judge a run against a baseline of another schema.
 pub const BENCH_SCHEMA: &str = "uncorq-bench-v2";
 
-/// The previous schema identifier, still accepted as a baseline.
+/// The previous schema identifier; its documents still parse.
 pub const BENCH_SCHEMA_V1: &str = "uncorq-bench-v1";
 
 /// The `"schema"` field of a `BENCH_machine.json` document, if present
@@ -36,21 +36,6 @@ pub fn parse_bench_schema(text: &str) -> Option<String> {
     text.lines()
         .find_map(|l| json_field(l.trim_start(), "schema"))
         .map(str::to_string)
-}
-
-/// The current git commit hash, for stamping measurement rows back to
-/// the code that produced them. Falls back to `"unknown"` outside a
-/// git checkout (or without git on PATH).
-pub fn git_commit() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
 }
 
 /// One cell of the sweep grid.
@@ -427,6 +412,35 @@ pub fn compare(results: &[CellResult], baseline: &[BaselineRow], path: &str) -> 
     }
 }
 
+/// The regression gate: `Ok` only when the baseline has the current
+/// [`BENCH_SCHEMA`], at least one cell matched it, and no matched cell's
+/// throughput fell below `1 - tolerance` of its baseline row. Each `Err`
+/// says why the run fails.
+pub fn gate(cmp: &Comparison, baseline_schema: Option<&str>, tolerance: f64) -> Result<(), String> {
+    if baseline_schema != Some(BENCH_SCHEMA) {
+        return Err(format!(
+            "baseline {} has schema {}, not {BENCH_SCHEMA}: re-record it",
+            cmp.baseline_path,
+            baseline_schema.unwrap_or("<none>")
+        ));
+    }
+    if cmp.matched.is_empty() {
+        return Err(format!(
+            "baseline {} has no row for any cell of this sweep",
+            cmp.baseline_path
+        ));
+    }
+    let floor = 1.0 - tolerance;
+    if cmp.min_ratio < floor {
+        return Err(format!(
+            "PERF REGRESSION: min events/sec ratio {:.3} below tolerance floor {floor:.3} \
+             (baseline {})",
+            cmp.min_ratio, cmp.baseline_path
+        ));
+    }
+    Ok(())
+}
+
 fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
@@ -469,7 +483,11 @@ pub fn write_bench_json<W: Write>(
 ) -> io::Result<()> {
     writeln!(w, "{{")?;
     writeln!(w, "  \"schema\": \"{BENCH_SCHEMA}\",")?;
-    writeln!(w, "  \"git_commit\": \"{}\",", json_escape(&git_commit()))?;
+    writeln!(
+        w,
+        "  \"git_commit\": \"{}\",",
+        json_escape(&ring_snapshot::git_commit_short())
+    )?;
     writeln!(w, "  \"note\": \"{}\",", json_escape(note))?;
     writeln!(w, "  \"threads\": {threads},")?;
     writeln!(w, "  \"rows\": [")?;
@@ -690,6 +708,33 @@ mod tests {
         fast[0].events_per_sec *= 10.0;
         let cmp = compare(&rows, &fast, "mem");
         assert!(cmp.min_ratio < 0.8);
+    }
+
+    #[test]
+    fn gate_fails_a_slowdown_and_a_foreign_schema() {
+        let rows = run_sweep(&tiny_cells()[..1], 1);
+        let row = |events_per_sec: f64| BaselineRow {
+            protocol: rows[0].protocol.clone(),
+            nodes: rows[0].nodes,
+            app: rows[0].app.clone(),
+            seed: rows[0].seed,
+            ops: rows[0].ops,
+            workers: rows[0].workers,
+            events_per_sec,
+        };
+        let same = compare(&rows, &[row(rows[0].events_per_sec)], "same.json");
+        assert_eq!(gate(&same, Some(BENCH_SCHEMA), 0.20), Ok(()));
+        // The fresh run is 30% slower than the recorded row.
+        let slower = compare(&rows, &[row(rows[0].events_per_sec / 0.7)], "fast.json");
+        let err = gate(&slower, Some(BENCH_SCHEMA), 0.20).unwrap_err();
+        assert!(err.contains("PERF REGRESSION"), "{err}");
+        // A v1 baseline fails outright, even at equal speed.
+        let err = gate(&same, Some(BENCH_SCHEMA_V1), 0.20).unwrap_err();
+        assert!(err.contains(BENCH_SCHEMA_V1), "{err}");
+        assert!(gate(&same, None, 0.20).is_err());
+        // A baseline that gates nothing is a failure, not a pass.
+        let unmatched = compare(&rows, &[], "empty.json");
+        assert!(gate(&unmatched, Some(BENCH_SCHEMA), 0.20).is_err());
     }
 
     #[test]

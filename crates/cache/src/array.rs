@@ -301,42 +301,59 @@ impl CacheArray {
 }
 
 impl CacheArray {
-    /// Serializes the full array contents (geometry excluded — it comes
-    /// back from the machine configuration at restore).
+    /// Serializes the array contents (geometry excluded — it comes back
+    /// from the machine configuration at restore): the set count, then
+    /// per set its occupancy and the `(tag, state, lru)` of slots
+    /// `[0, occ)` only. Slots past `occ` have never been written since
+    /// construction, so restore reproduces them exactly as zeros.
     pub fn snap_save(&self, w: &mut ring_snapshot::SnapWriter) {
-        w.put(&self.tags);
-        w.put(&self.states);
-        w.put(&self.lrus);
-        w.put(&self.occ.iter().map(|&o| o as u64).collect::<Vec<u64>>());
+        let ways = self.cfg.ways;
+        w.put(&(self.occ.len() as u64));
+        for (idx, &n) in self.occ.iter().enumerate() {
+            w.put(&n);
+            let base = idx * ways;
+            for i in base..base + n as usize {
+                w.put(&self.tags[i]);
+                w.put(&self.states[i]);
+                w.put(&self.lrus[i]);
+            }
+        }
         w.put(&self.tick);
         w.put(&self.hits);
         w.put(&self.misses);
     }
 
     /// Rebuilds an array from a snapshot taken under the same geometry.
+    ///
+    /// # Errors
+    ///
+    /// `Malformed` (naming the reader's section) if the set count
+    /// differs from `cfg` or a set claims more than `cfg.ways` occupied
+    /// slots; decoding errors as they arise.
     pub fn snap_load(
         r: &mut ring_snapshot::SnapReader<'_>,
         cfg: CacheConfig,
     ) -> Result<Self, ring_snapshot::SnapshotError> {
         let mut a = CacheArray::new(cfg);
-        let tags: Vec<u64> = r.get()?;
-        let states: Vec<LineState> = r.get()?;
-        let lrus: Vec<u64> = r.get()?;
-        let occ64: Vec<u64> = r.get()?;
-        if tags.len() != a.tags.len()
-            || states.len() != a.states.len()
-            || lrus.len() != a.lrus.len()
-            || occ64.len() != a.occ.len()
-        {
+        if r.get::<u64>()? != a.occ.len() as u64 {
             return Err(r.malformed("cache geometry does not match the configuration"));
         }
-        a.tags = tags;
-        a.states = states;
-        a.lrus = lrus;
-        a.occ = occ64
-            .into_iter()
-            .map(|o| u32::try_from(o).map_err(|_| r.malformed("occupancy overflows u32")))
-            .collect::<Result<Vec<u32>, _>>()?;
+        let ways = cfg.ways;
+        for idx in 0..a.occ.len() {
+            let n: u32 = r.get()?;
+            if n as usize > ways {
+                return Err(
+                    r.malformed(format!("cache set {idx} occupancy {n} exceeds {ways} ways"))
+                );
+            }
+            a.occ[idx] = n;
+            let base = idx * ways;
+            for i in base..base + n as usize {
+                a.tags[i] = r.get()?;
+                a.states[i] = r.get()?;
+                a.lrus[i] = r.get()?;
+            }
+        }
         a.tick = r.get()?;
         a.hits = r.get()?;
         a.misses = r.get()?;
@@ -455,6 +472,45 @@ mod tests {
                 (LineAddr::new(1), LineState::Shared)
             ]
         );
+    }
+
+    fn saved(c: &CacheArray) -> Vec<u8> {
+        let mut w = ring_snapshot::SnapWriter::new();
+        c.snap_save(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn compact_snapshot_restores_every_slot() {
+        let mut c = tiny();
+        c.insert(LineAddr::new(0), LineState::Dirty);
+        c.insert(LineAddr::new(2), LineState::Shared);
+        c.invalidate(LineAddr::new(0)); // an Invalid slot below occ
+        c.insert(LineAddr::new(1), LineState::Exclusive);
+        c.access(LineAddr::new(1));
+        let bytes = saved(&c);
+        let mut r = ring_snapshot::SnapReader::new("agents", &bytes);
+        let back = CacheArray::snap_load(&mut r, *c.config()).unwrap();
+        r.finish().unwrap();
+        assert_eq!(format!("{back:?}"), format!("{c:?}"));
+        assert_eq!(saved(&back), bytes);
+    }
+
+    #[test]
+    fn occupancy_beyond_the_ways_is_malformed() {
+        let c = tiny();
+        let mut w = ring_snapshot::SnapWriter::new();
+        w.put(&(c.occ.len() as u64));
+        w.put(&3u32); // set 0 claims 3 slots of a 2-way array
+        let bytes = w.into_bytes();
+        let mut r = ring_snapshot::SnapReader::new("cores", &bytes);
+        match CacheArray::snap_load(&mut r, *c.config()) {
+            Err(ring_snapshot::SnapshotError::Malformed { section, detail }) => {
+                assert_eq!(section, "cores");
+                assert!(detail.contains("exceeds 2 ways"), "{detail}");
+            }
+            other => panic!("expected Malformed, got {other:?}"),
+        }
     }
 
     #[test]

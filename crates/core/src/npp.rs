@@ -143,31 +143,41 @@ impl NodePrefetchPredictor {
 }
 
 impl NodePrefetchPredictor {
-    /// Serializes the predictor. The hashed presence table is emitted
-    /// in sorted address order so the encoding is canonical regardless
-    /// of hash-map iteration order.
+    /// Serializes the predictor. The presence table is not stored: it is
+    /// a function of the queue. Every queued address is present at its
+    /// latest queued stamp, because the queue is stamp-ordered and
+    /// eviction pops from the front, so an address leaves `present` only
+    /// when its latest entry, and with it every older one, is popped.
     pub fn snap_save(&self, w: &mut ring_snapshot::SnapWriter) {
         w.put(&self.capacity);
         w.put(&self.queue);
-        let mut present: Vec<(LineAddr, u64)> =
-            self.present.iter().map(|(&a, &s)| (a, s)).collect();
-        present.sort_unstable();
-        w.put(&present);
         w.put(&self.tick);
         w.put(&self.observations);
         w.put(&self.prefetch_hits);
         w.put(&self.prefetch_suppressions);
     }
 
-    /// Rebuilds a predictor from a snapshot.
+    /// Rebuilds a predictor from a snapshot, rebuilding the presence
+    /// table from the queue.
+    ///
+    /// # Errors
+    ///
+    /// `Malformed` (naming the reader's section) if the queue's stamps
+    /// are not strictly increasing, the order the rebuild relies on.
     pub fn snap_load(
         r: &mut ring_snapshot::SnapReader<'_>,
     ) -> Result<Self, ring_snapshot::SnapshotError> {
         let capacity: usize = r.get()?;
         let queue: VecDeque<(LineAddr, u64)> = r.get()?;
-        let present_vec: Vec<(LineAddr, u64)> = r.get()?;
+        if queue
+            .iter()
+            .zip(queue.iter().skip(1))
+            .any(|(a, b)| a.1 >= b.1)
+        {
+            return Err(r.malformed("NPP queue stamps are not strictly increasing"));
+        }
         let mut present = FxHashMap::default();
-        for (a, s) in present_vec {
+        for &(a, s) in &queue {
             present.insert(a, s);
         }
         Ok(NodePrefetchPredictor {
@@ -230,6 +240,47 @@ mod tests {
         assert!(npp.should_prefetch(LineAddr::new(1)));
         assert!(npp.is_empty());
         assert_eq!(npp.observations(), 0);
+    }
+
+    fn saved(npp: &NodePrefetchPredictor) -> Vec<u8> {
+        let mut w = ring_snapshot::SnapWriter::new();
+        npp.snap_save(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn snapshot_rebuilds_presence_from_the_queue() {
+        let mut npp = NodePrefetchPredictor::new(3);
+        // Refreshes, evictions and stale-entry trimming all leave stale
+        // queue entries behind.
+        for a in [
+            1, 2, 1, 3, 4, 1, 5, 5, 2, 6, 1, 1, 7, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3,
+        ] {
+            npp.observe(LineAddr::new(a));
+        }
+        let bytes = saved(&npp);
+        let mut r = ring_snapshot::SnapReader::new("agents", &bytes);
+        let back = NodePrefetchPredictor::snap_load(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(back.present, npp.present);
+        assert_eq!(back.queue, npp.queue);
+        assert_eq!(saved(&back), bytes);
+    }
+
+    #[test]
+    fn unordered_queue_stamps_are_malformed() {
+        let mut w = ring_snapshot::SnapWriter::new();
+        w.put(&4usize);
+        w.put(&vec![(LineAddr::new(1), 5u64), (LineAddr::new(2), 5u64)]);
+        for _ in 0..4 {
+            w.put(&0u64);
+        }
+        let bytes = w.into_bytes();
+        let mut r = ring_snapshot::SnapReader::new("agents", &bytes);
+        assert!(matches!(
+            NodePrefetchPredictor::snap_load(&mut r),
+            Err(ring_snapshot::SnapshotError::Malformed { .. })
+        ));
     }
 
     #[test]

@@ -138,42 +138,72 @@ impl ControllerPrefetchPredictor {
     }
 }
 
+/// Largest table a snapshot may restore: 1024 times the paper's 16K
+/// entries.
+const MAX_SNAP_ENTRIES: usize = 1 << 24;
+
 impl ControllerPrefetchPredictor {
-    /// Serializes the CPP: geometry plus the full page-entry table, so a
-    /// restored predictor suppresses exactly the same prefetches.
+    /// Serializes the CPP: geometry, the table's entry count, then
+    /// `(index, page, bits)` of the valid entries only, so a restored
+    /// predictor suppresses exactly the same prefetches. An invalid entry
+    /// is always `PageEntry::default()` (entries are only ever replaced
+    /// by valid ones), so restore reproduces the rest of the table.
     pub fn snap_save(&self, w: &mut ring_snapshot::SnapWriter) {
         w.put(&self.line_bytes);
         w.put(&self.page_bytes);
-        w.put_seq_with(self.entries.iter(), |w, e| {
+        w.put(&(self.entries.len() as u64));
+        let valid = self.entries.iter().enumerate().filter(|(_, e)| e.valid);
+        w.put(&(valid.clone().count() as u64));
+        for (i, e) in valid {
+            w.put(&(i as u64));
             w.put(&e.page);
-            w.put(&e.valid);
             w.put(&e.bits);
-        });
+        }
         w.put(&self.suppressed);
     }
 
     /// Rebuilds a CPP from snapshot state.
+    ///
+    /// # Errors
+    ///
+    /// `Malformed` (naming the reader's section) if the entry count is
+    /// not a power of two or above 2^24, the page geometry is out of
+    /// range, or a valid entry's index is outside the table.
     pub fn snap_load(
         r: &mut ring_snapshot::SnapReader<'_>,
     ) -> Result<Self, ring_snapshot::SnapshotError> {
         let line_bytes: u64 = r.get()?;
         let page_bytes: u64 = r.get()?;
-        let entries: Vec<PageEntry> = r.get_seq_with(|r| {
-            Ok(PageEntry {
-                page: r.get()?,
-                valid: r.get()?,
-                bits: r.get()?,
-            })
-        })?;
-        if entries.is_empty() || !entries.len().is_power_of_two() {
-            return Err(r.malformed("CPP entry count must be a power of two"));
+        let count: u64 = r.get()?;
+        if !count.is_power_of_two() {
+            return Err(r.malformed(format!("CPP entry count {count} is not a power of two")));
         }
+        // The table is allocated before any entry is read, so a damaged
+        // count must not be allowed to ask for gigabytes.
+        let count = usize::try_from(count)
+            .ok()
+            .filter(|&n| n <= MAX_SNAP_ENTRIES)
+            .ok_or_else(|| r.malformed(format!("CPP entry count {count} is implausibly large")))?;
         let lines_per_page = page_bytes.checked_div(line_bytes).unwrap_or(0);
         if !(1..=64).contains(&lines_per_page) {
             return Err(r.malformed("CPP page must hold 1..=64 lines"));
         }
-        let mut cpp = ControllerPrefetchPredictor::new(entries.len(), line_bytes, page_bytes);
-        cpp.entries = entries;
+        let mut cpp = ControllerPrefetchPredictor::new(count, line_bytes, page_bytes);
+        let n_valid = r.get_len()?;
+        for _ in 0..n_valid {
+            let index: u64 = r.get()?;
+            let slot = usize::try_from(index)
+                .ok()
+                .filter(|&i| i < count)
+                .ok_or_else(|| {
+                    r.malformed(format!("CPP entry index {index} outside {count} entries"))
+                })?;
+            cpp.entries[slot] = PageEntry {
+                page: r.get()?,
+                valid: true,
+                bits: r.get()?,
+            };
+        }
         cpp.suppressed = r.get()?;
         Ok(cpp)
     }
@@ -225,6 +255,68 @@ mod tests {
         let mut c = cpp();
         c.mark_written_back(LineAddr::new(42));
         assert!(!c.likely_on_chip(LineAddr::new(42)));
+    }
+
+    fn saved(c: &ControllerPrefetchPredictor) -> Vec<u8> {
+        let mut w = ring_snapshot::SnapWriter::new();
+        c.snap_save(&mut w);
+        w.into_bytes()
+    }
+
+    fn load(bytes: &[u8]) -> Result<ControllerPrefetchPredictor, ring_snapshot::SnapshotError> {
+        let mut r = ring_snapshot::SnapReader::new("memory", bytes);
+        let c = ControllerPrefetchPredictor::snap_load(&mut r)?;
+        r.finish()?;
+        Ok(c)
+    }
+
+    /// A hand-built section: geometry, `count`, then the given entries.
+    fn section(count: u64, entries: &[(u64, u64, u64)]) -> Vec<u8> {
+        let mut w = ring_snapshot::SnapWriter::new();
+        w.put(&64u64);
+        w.put(&4096u64);
+        w.put(&count);
+        w.put(&(entries.len() as u64));
+        for e in entries {
+            w.put(e);
+        }
+        w.put(&0u64);
+        w.into_bytes()
+    }
+
+    fn malformed_detail(bytes: &[u8]) -> String {
+        match load(bytes) {
+            Err(ring_snapshot::SnapshotError::Malformed { section, detail }) => {
+                assert_eq!(section, "memory");
+                detail
+            }
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn compact_snapshot_keeps_valid_entries_only() {
+        let mut c = cpp();
+        c.mark_fetched(LineAddr::new(5));
+        c.mark_fetched(LineAddr::new(16 * 64 * 3 + 9)); // page 48, slot 0
+        c.mark_fetched(LineAddr::new(64 * 7));
+        c.mark_written_back(LineAddr::new(64 * 7)); // valid with no bits
+        c.admit_prefetch(LineAddr::new(9));
+        let bytes = saved(&c);
+        // Geometry (16) + count (8) + valid count (8) + 2 × 24 + counter.
+        assert_eq!(bytes.len(), 16 + 8 + 8 + 2 * 24 + 8);
+        let back = load(&bytes).unwrap();
+        assert_eq!(format!("{back:?}"), format!("{c:?}"));
+        assert_eq!(saved(&back), bytes);
+    }
+
+    #[test]
+    fn corrupt_compact_entries_are_malformed() {
+        assert!(load(&section(16, &[(15, 3, 1)])).is_ok());
+        assert!(malformed_detail(&section(16, &[(16, 3, 1)])).contains("index 16"));
+        assert!(malformed_detail(&section(12, &[])).contains("power of two"));
+        assert!(malformed_detail(&section(0, &[])).contains("power of two"));
+        assert!(malformed_detail(&section(1 << 62, &[])).contains("implausibly large"));
     }
 
     #[test]

@@ -11,13 +11,18 @@ pub const MAGIC: [u8; 8] = *b"RINGSNAP";
 /// Schema version this build writes and accepts. Bumped on any breaking
 /// change to the section layout; old snapshots are rejected with
 /// [`SnapshotError::BadVersion`] rather than misdecoded.
-pub const SCHEMA_VERSION: u32 = 1;
+///
+/// Version 2 stores cache arrays, the controller prefetch predictor and
+/// the node prefetch predictor compactly (live state only).
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// Snapshot provenance: what produced this file and where in the run it
 /// was taken.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotHeader {
-    /// `git rev-parse --short=12 HEAD` of the build (or `"unknown"`).
+    /// The writer's [`git_commit_short`](crate::git_commit_short): the
+    /// HEAD of the working tree the writing process ran in (or
+    /// `"unknown"`).
     pub git_commit: String,
     /// Hash of the machine configuration the run used; restore refuses a
     /// mismatch.
@@ -309,18 +314,23 @@ mod tests {
 
     #[test]
     fn version_gate() {
-        let mut b = sample();
-        // Schema version is the first header field, at offset 16.
-        b[16] = 0xFE;
-        // CRC now mismatches; rewriting the CRC to match must then trip
-        // the version gate instead.
-        let header_len = u64::from_le_bytes(b[8..16].try_into().unwrap()) as usize;
-        let crc = crate::crc32(&b[16..16 + header_len]);
-        b[16 + header_len..16 + header_len + 4].copy_from_slice(&crc.to_le_bytes());
-        assert!(matches!(
-            SnapshotFile::decode(&b),
-            Err(SnapshotError::BadVersion { .. })
-        ));
+        // Schema 1 (dense sections) has no migration path, and neither
+        // has an unknown future version.
+        for version in [1u8, 0xFE] {
+            let mut b = sample();
+            // Schema version is the first header field, at offset 16.
+            b[16] = version;
+            // CRC now mismatches; rewriting the CRC to match must then
+            // trip the version gate instead.
+            let header_len = u64::from_le_bytes(b[8..16].try_into().unwrap()) as usize;
+            let crc = crate::crc32(&b[16..16 + header_len]);
+            b[16 + header_len..16 + header_len + 4].copy_from_slice(&crc.to_le_bytes());
+            assert!(matches!(
+                SnapshotFile::decode(&b),
+                Err(SnapshotError::BadVersion { found, expected: SCHEMA_VERSION })
+                    if found == u32::from(version)
+            ));
+        }
     }
 
     #[test]

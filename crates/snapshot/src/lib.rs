@@ -51,18 +51,37 @@ pub use error::SnapshotError;
 pub use file::{SnapshotBuilder, SnapshotFile, SnapshotHeader, MAGIC, SCHEMA_VERSION};
 pub use manifest::{SessionManifest, MANIFEST_MAGIC, MANIFEST_VERSION};
 
-/// CRC-32 (IEEE 802.3, reflected) of `bytes`.
+/// Slicing-by-8 lookup tables: `CRC_TABLES[0]` is the classic byte-wise
+/// table, and `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k`
+/// zero bytes, so eight table lookups fold eight input bytes at once.
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
+
+/// CRC-32 (IEEE 802.3, reflected) of `bytes`, eight bytes per step
+/// (slicing-by-8; the same values as the byte-at-a-time loop).
 pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = crc32_table();
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let v = u64::from_le_bytes(c.try_into().expect("8-byte chunk")) ^ u64::from(crc);
+        let byte = |k: u32| ((v >> (8 * k)) & 0xFF) as usize;
+        crc = t[7][byte(0)]
+            ^ t[6][byte(1)]
+            ^ t[5][byte(2)]
+            ^ t[4][byte(3)]
+            ^ t[3][byte(4)]
+            ^ t[2][byte(5)]
+            ^ t[1][byte(6)]
+            ^ t[0][byte(7)];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -75,10 +94,20 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    t
 }
 
 /// FNV-1a of `bytes` — used for the header's config hash (the snapshot
@@ -161,20 +190,28 @@ impl FnvHasher {
     }
 }
 
-/// `git rev-parse --short=12 HEAD` of the working tree, or `"unknown"`
-/// outside a repository — recorded in every snapshot header as build
-/// provenance (never verified at restore; the config hash is what gates
-/// compatibility).
+/// `git rev-parse --short=12 HEAD` of the working tree the process runs
+/// in, or `"unknown"` outside a repository. It is read once per process,
+/// on the first call, and cached: a later commit in the same tree does
+/// not change what a running process reports, and it says nothing about
+/// the commit the binary was built from. Recorded in every snapshot
+/// header as provenance (never verified at restore; the config hash is
+/// what gates compatibility).
 pub fn git_commit_short() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+    static COMMIT: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+    COMMIT
+        .get_or_init(|| {
+            std::process::Command::new("git")
+                .args(["rev-parse", "--short=12", "HEAD"])
+                .output()
+                .ok()
+                .filter(|o| o.status.success())
+                .and_then(|o| String::from_utf8(o.stdout).ok())
+                .map(|s| s.trim().to_string())
+                .filter(|s| !s.is_empty())
+                .unwrap_or_else(|| "unknown".to_string())
+        })
+        .clone()
 }
 
 #[cfg(test)]
@@ -186,6 +223,42 @@ mod tests {
         // Standard check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The byte-at-a-time CRC the sliced one must agree with.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    #[test]
+    fn sliced_crc32_matches_bytewise_reference() {
+        // xorshift64: deterministic pseudo-random lengths and contents.
+        let mut s = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        };
+        let data: Vec<u8> = (0..4096 + 16).map(|_| next() as u8).collect();
+        for len in 0..=64 {
+            assert_eq!(
+                crc32(&data[..len]),
+                crc32_bytewise(&data[..len]),
+                "len {len}"
+            );
+        }
+        for _ in 0..500 {
+            let len = (next() % 4097) as usize;
+            // Offsets 0..8 cover every alignment of the 8-byte steps.
+            let off = (next() % 8) as usize;
+            let part = &data[off..off + len];
+            assert_eq!(crc32(part), crc32_bytewise(part), "len {len} offset {off}");
+        }
     }
 
     #[test]

@@ -7,10 +7,11 @@
 //! it. [`FanoutSink::record`] therefore never blocks and never
 //! allocates per subscriber beyond each subscriber's fixed-capacity
 //! buffer: when a buffer is full the incoming event is *counted and
-//! dropped*, and the next time space opens up a [`Delivery::Gap`]
-//! marker carrying the exact drop count is enqueued ahead of the next
-//! event, so consumers always know precisely how much of the stream
-//! they missed and where.
+//! dropped*, and the next [`Subscription::drain`] ends with a
+//! [`Delivery::Gap`] marker carrying the exact drop count, so consumers
+//! always know precisely how much of the stream they missed and where —
+//! including drops at the very end of a run, which no later event
+//! would surface.
 //!
 //! Subscriptions detach automatically on [`Drop`], so a daemon client
 //! thread that dies takes its buffer with it — the producer side reaps
@@ -40,10 +41,10 @@ pub enum Delivery {
 /// Per-subscriber state, owned by the fan-out's shared table.
 #[derive(Debug)]
 struct SubState {
-    buf: std::collections::VecDeque<Delivery>,
+    buf: std::collections::VecDeque<TraceEvent>,
     capacity: usize,
-    /// Drops since the last successful enqueue; materialized as a
-    /// [`Delivery::Gap`] the moment space opens up.
+    /// Drops since the last drain; handed out as a [`Delivery::Gap`]
+    /// after the buffered events by the next drain.
     pending_gap: u64,
     total_dropped: u64,
 }
@@ -71,14 +72,13 @@ impl FanoutSink {
         Self::default()
     }
 
-    /// Registers a subscriber holding at most `capacity` deliveries
-    /// (gap markers occupy a slot too). The subscription detaches on
-    /// drop.
+    /// Registers a subscriber buffering at most `capacity` events
+    /// between drains. The subscription detaches on drop.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero — such a buffer could never deliver
-    /// anything, not even the gap marker saying so.
+    /// an event.
     pub fn subscribe(&self, capacity: usize) -> Subscription {
         assert!(capacity > 0, "subscriber capacity must be positive");
         let mut inner = lock(&self.inner);
@@ -109,14 +109,10 @@ impl TraceSink for FanoutSink {
     fn record(&mut self, ev: &TraceEvent) {
         let mut inner = lock(&self.inner);
         for sub in inner.subs.values_mut() {
-            if sub.pending_gap > 0 && sub.buf.len() < sub.capacity {
-                sub.buf.push_back(Delivery::Gap {
-                    dropped: sub.pending_gap,
-                });
-                sub.pending_gap = 0;
-            }
+            // Space only opens up in `drain`, which also takes the
+            // pending gap, so an event that fits never follows a drop.
             if sub.buf.len() < sub.capacity {
-                sub.buf.push_back(Delivery::Event(*ev));
+                sub.buf.push_back(*ev);
             } else {
                 sub.pending_gap += 1;
                 sub.total_dropped += 1;
@@ -136,24 +132,33 @@ pub struct Subscription {
 }
 
 impl Subscription {
-    /// Takes every buffered delivery, oldest first. An empty result
+    /// Takes every buffered delivery, oldest first, followed by a
+    /// [`Delivery::Gap`] for the events dropped since the last drain (they
+    /// were all dropped after the buffered ones arrived). An empty result
     /// means nothing arrived since the last drain, not end-of-stream.
     pub fn drain(&self) -> Vec<Delivery> {
         let mut inner = lock(&self.inner);
-        match inner.subs.get_mut(&self.id) {
-            Some(sub) => sub.buf.drain(..).collect(),
-            None => Vec::new(),
+        let Some(sub) = inner.subs.get_mut(&self.id) else {
+            return Vec::new();
+        };
+        let mut out: Vec<Delivery> = sub.buf.drain(..).map(Delivery::Event).collect();
+        if sub.pending_gap > 0 {
+            out.push(Delivery::Gap {
+                dropped: sub.pending_gap,
+            });
+            sub.pending_gap = 0;
         }
+        out
     }
 
     /// Total events this subscriber has lost to overflow so far
-    /// (including drops not yet surfaced as a gap marker).
+    /// (including drops not yet drained as a gap marker).
     pub fn total_dropped(&self) -> u64 {
         let inner = lock(&self.inner);
         inner.subs.get(&self.id).map_or(0, |s| s.total_dropped)
     }
 
-    /// Number of deliveries currently buffered.
+    /// Number of events currently buffered.
     pub fn buffered(&self) -> usize {
         let inner = lock(&self.inner);
         inner.subs.get(&self.id).map_or(0, |s| s.buf.len())
@@ -223,28 +228,58 @@ mod tests {
         for c in 0..5 {
             sink.record(&ev(c)); // 0,1 buffered; 2,3,4 dropped
         }
-        assert_eq!(cycles(&sub.drain()), vec![0, 1]);
         assert_eq!(sub.total_dropped(), 3);
-        sink.record(&ev(5)); // space now: gap(3) then event 5
         assert_eq!(
             sub.drain(),
-            vec![Delivery::Gap { dropped: 3 }, Delivery::Event(ev(5))]
+            vec![
+                Delivery::Event(ev(0)),
+                Delivery::Event(ev(1)),
+                Delivery::Gap { dropped: 3 }
+            ]
         );
+        sink.record(&ev(5)); // the drain freed the buffer
+        assert_eq!(sub.drain(), vec![Delivery::Event(ev(5))]);
         assert_eq!(sub.total_dropped(), 3, "gap emission must not re-count");
     }
 
     #[test]
-    fn gap_marker_occupies_a_slot() {
+    fn each_drain_reports_its_own_gap() {
         let fan = FanoutSink::new();
         let sub = fan.subscribe(1);
         let mut sink = fan.clone();
         sink.record(&ev(0)); // fills the single slot
         sink.record(&ev(1)); // dropped
-        assert_eq!(cycles(&sub.drain()), vec![0]);
-        sink.record(&ev(2)); // gap(1) takes the slot; 2 is dropped too
-        assert_eq!(sub.drain(), vec![Delivery::Gap { dropped: 1 }]);
-        sink.record(&ev(3)); // gap(1) for event 2, then... only gap fits? cap=1
-        assert_eq!(sub.drain(), vec![Delivery::Gap { dropped: 1 }]);
+        assert_eq!(
+            sub.drain(),
+            vec![Delivery::Event(ev(0)), Delivery::Gap { dropped: 1 }]
+        );
+        sink.record(&ev(2));
+        sink.record(&ev(3)); // dropped
+        sink.record(&ev(4)); // dropped
+        assert_eq!(
+            sub.drain(),
+            vec![Delivery::Event(ev(2)), Delivery::Gap { dropped: 2 }]
+        );
+        assert!(sub.drain().is_empty());
+        assert_eq!(sub.total_dropped(), 3);
+    }
+
+    #[test]
+    fn drops_at_the_end_of_a_run_are_reported() {
+        let fan = FanoutSink::new();
+        let sub = fan.subscribe(2);
+        let mut sink = fan.clone();
+        for c in 0..10 {
+            sink.record(&ev(c));
+        }
+        drop(sink); // the run is over: no later event will arrive
+        let got = sub.drain();
+        assert_eq!(got.last(), Some(&Delivery::Gap { dropped: 8 }));
+        let delivered = got
+            .iter()
+            .filter(|d| matches!(d, Delivery::Event(_)))
+            .count() as u64;
+        assert_eq!(delivered + 8, 10, "every event is delivered or counted");
     }
 
     #[test]

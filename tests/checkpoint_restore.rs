@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use uncorq::coherence::ProtocolVariant;
 use uncorq::noc::{FaultPlan, FaultProfile, ReliabilityConfig};
 use uncorq::snapshot::SnapshotFile;
-use uncorq::system::{Machine, MachineConfig, Report};
+use uncorq::system::{Machine, MachineConfig, Report, RunProgress};
 use uncorq::workloads::AppProfile;
 
 /// The three network conditions a checkpoint must survive: a clean
@@ -167,6 +167,63 @@ fn bit_flips_at_container_boundaries_are_detected() {
             );
         }
     }
+}
+
+/// The `ringd` session cell: 4×4 SPECweb at scale 3 000, seed 2007.
+fn specweb() -> AppProfile {
+    AppProfile::by_name("SPECweb")
+        .expect("SPECweb profile")
+        .scaled(3_000)
+}
+
+/// A machine of `cfg` paused at half the events of its full run.
+fn paused_mid_run(cfg: &MachineConfig, profile: &AppProfile) -> Machine {
+    let events = Machine::new(cfg.clone(), profile)
+        .try_run()
+        .expect("reference run")
+        .stats
+        .events;
+    let mut m = Machine::new(cfg.clone(), profile);
+    assert!(
+        matches!(m.try_run_slice(events / 2), Ok(RunProgress::Yielded { .. })),
+        "the run must pause at its midpoint"
+    );
+    m
+}
+
+/// Compact sections are lossless: restoring a mid-run snapshot and
+/// snapshotting again reproduces the original image byte for byte, for
+/// every variant, on a clean network and on drop20 with the reliable
+/// sublayer.
+#[test]
+fn restore_then_snapshot_reproduces_the_image() {
+    let profile = specweb();
+    for condition in ["clean", "drop20"] {
+        for variant in ProtocolVariant::ALL {
+            let cfg = cfg_for(variant, condition, 2007);
+            let bytes = paused_mid_run(&cfg, &profile).snapshot().encode();
+            let file = SnapshotFile::decode(&bytes).expect("decode");
+            let restored =
+                Machine::restore_file(cfg, &profile, &file, "mem:image").expect("restore");
+            assert!(
+                restored.snapshot().encode() == bytes,
+                "{variant} {condition}: re-snapshot differs from the restored image"
+            );
+        }
+    }
+}
+
+/// A size pin: the mid-run snapshot of the uncorq session cell stores
+/// live state only. Dense cache and predictor tables made it 2.8 MB.
+#[test]
+fn mid_run_snapshot_stays_compact() {
+    let cfg = cfg_for(ProtocolVariant::Uncorq, "clean", 2007);
+    let bytes = paused_mid_run(&cfg, &specweb()).snapshot().encode();
+    assert!(
+        bytes.len() < 512 * 1024,
+        "uncorq 4x4 SPECweb mid-run snapshot is {} bytes",
+        bytes.len()
+    );
 }
 
 /// Retention bound (`--checkpoint-keep` / `set_checkpoint_retention`):
