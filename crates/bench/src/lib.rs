@@ -1,15 +1,16 @@
 //! Shared harness code for regenerating the paper's figures and tables.
 //!
-//! Each binary in `src/bin/` regenerates one figure or table of the
-//! MICRO 2007 Uncorq paper; this library holds the common machinery:
-//! running one `(protocol, application)` cell and formatting results.
-//! See EXPERIMENTS.md at the workspace root for the experiment index and
-//! recorded paper-vs-measured results.
+//! The `paper` binary runs one experiment of the [`paper::EXPERIMENTS`]
+//! registry by name; this library holds the common machinery: running
+//! one `(protocol, application)` cell, rejecting unfinished runs, and
+//! formatting results. See EXPERIMENTS.md at the workspace root for the
+//! experiment index and recorded paper-vs-measured results.
 
 pub mod paper;
 pub mod sweep;
 
 use ring_coherence::ProtocolKind;
+use ring_stats::{Align, Table};
 use ring_system::{HtMachine, Machine, MachineConfig, Report};
 use ring_workloads::AppProfile;
 
@@ -47,27 +48,56 @@ impl Proto {
     }
 }
 
-/// Runs one cell on the paper's 64-node machine.
-pub fn run_cell(proto: Proto, profile: &AppProfile, seed: u64) -> Report {
-    let cfg = config_for(proto, seed);
-    match proto {
+/// Runs one cell on the paper's 64-node machine; a run that does not
+/// finish is an error naming the cell.
+pub fn run_cell(proto: Proto, profile: &AppProfile) -> Result<Report, String> {
+    run_cell_with(proto, profile, "", |_| {})
+}
+
+/// [`run_cell`] on the paper configuration as changed by `tweak`;
+/// `variant` describes the change in the cell's name (e.g. `" at 4x4"`).
+pub(crate) fn run_cell_with(
+    proto: Proto,
+    profile: &AppProfile,
+    variant: &str,
+    tweak: impl FnOnce(&mut MachineConfig),
+) -> Result<Report, String> {
+    let mut cfg = config_for(proto);
+    tweak(&mut cfg);
+    let report = match proto {
         Proto::Ht => HtMachine::new(cfg, profile).run(),
         _ => Machine::new(cfg, profile).run(),
+    };
+    finished(
+        &format!("{} on {}{variant}", proto.name(), profile.name),
+        report,
+    )
+}
+
+/// Every experiment's cells pass through here: a run cut short by the
+/// cycle cap or the watchdog is an error naming `cell`, never a row of
+/// numbers.
+pub(crate) fn finished(cell: &str, report: Report) -> Result<Report, String> {
+    if report.finished {
+        Ok(report)
+    } else {
+        Err(format!(
+            "cell {cell} did not finish (stopped at cycle {})",
+            report.exec_cycles
+        ))
     }
 }
 
-/// The paper-machine configuration for a protocol selection.
-pub fn config_for(proto: Proto, seed: u64) -> MachineConfig {
+/// The paper-machine configuration for a protocol selection, seeded
+/// with [`SEED`].
+pub fn config_for(proto: Proto) -> MachineConfig {
     let mut cfg = match proto {
         Proto::Ring(kind) => MachineConfig::paper(kind),
         Proto::UncorqPref => MachineConfig::paper_uncorq_pref(),
         // The HT machine reads only cache/net/mem parameters.
         Proto::Ht => MachineConfig::paper(ProtocolKind::Eager),
     };
-    cfg.seed = seed;
-    if std::env::var_os("UNCORQ_NOCONTENTION").is_some() {
-        cfg.net.model_contention = false;
-    }
+    cfg.seed = SEED;
     cfg
 }
 
@@ -75,13 +105,34 @@ pub fn config_for(proto: Proto, seed: u64) -> MachineConfig {
 pub const SEED: u64 = 2007;
 
 /// Scales an application profile down when the `UNCORQ_FAST` environment
-/// variable is set (useful for smoke-testing every harness binary).
+/// variable is set (useful for smoke-testing every experiment).
 pub fn maybe_fast(profile: AppProfile) -> AppProfile {
     if std::env::var_os("UNCORQ_FAST").is_some() {
         profile.scaled(1_000)
     } else {
         profile
     }
+}
+
+/// The application an experiment runs: the first argument, else
+/// `default`, scaled by [`maybe_fast`].
+pub(crate) fn app_arg(args: &[String], default: &str) -> Result<AppProfile, String> {
+    let name = args.first().map_or(default, String::as_str);
+    app(name)
+}
+
+/// Looks an application profile up by name, scaled by [`maybe_fast`].
+pub(crate) fn app(name: &str) -> Result<AppProfile, String> {
+    AppProfile::by_name(name)
+        .map(maybe_fast)
+        .ok_or_else(|| format!("unknown app {name}"))
+}
+
+/// A table with one `(header, alignment)` pair per column.
+pub fn table(columns: &[(&str, Align)]) -> Table {
+    let mut t = Table::new(columns.iter().map(|(h, _)| h.to_string()).collect());
+    t.align(columns.iter().map(|&(_, a)| a).collect());
+    t
 }
 
 #[cfg(test)]
@@ -99,11 +150,34 @@ mod tests {
 
     #[test]
     fn config_for_prefetch_sets_flag() {
-        assert!(config_for(Proto::UncorqPref, 1).protocol.prefetch);
+        assert!(config_for(Proto::UncorqPref).protocol.prefetch);
         assert!(
-            !config_for(Proto::Ring(ProtocolKind::Uncorq), 1)
+            !config_for(Proto::Ring(ProtocolKind::Uncorq))
                 .protocol
                 .prefetch
         );
+    }
+
+    #[test]
+    fn unfinished_cell_fails_naming_it() {
+        let profile = AppProfile::by_name("fmm").unwrap().scaled(100);
+        let small = |c: &mut MachineConfig| (c.width, c.height) = (4, 4);
+        for proto in [Proto::Ring(ProtocolKind::Uncorq), Proto::Ht] {
+            let err = run_cell_with(proto, &profile, " capped", |c| {
+                small(c);
+                c.max_cycles = 200;
+            })
+            .unwrap_err();
+            let cell = format!("cell {} on fmm capped did not finish", proto.name());
+            assert!(err.starts_with(&cell), "{err}");
+            assert!(run_cell_with(proto, &profile, "", small).is_ok());
+        }
+    }
+
+    #[test]
+    fn unknown_app_is_an_error() {
+        assert_eq!(app_arg(&[], "fmm").unwrap().name, "fmm");
+        assert_eq!(app_arg(&["fft".into()], "fmm").unwrap().name, "fft");
+        assert_eq!(app("nope").unwrap_err(), "unknown app nope");
     }
 }

@@ -1,5 +1,148 @@
-//! The paper's published per-application numbers, for side-by-side
-//! comparison in every regenerated table (and in EXPERIMENTS.md).
+//! The paper's experiments, by name, and its published per-application
+//! numbers for side-by-side comparison in every regenerated table (and
+//! in EXPERIMENTS.md).
+//!
+//! `cargo run --release -p bench --bin paper -- <name> [args]` runs one
+//! entry of [`EXPERIMENTS`]; each prints its table to stdout.
+
+mod ablations;
+mod figures;
+mod studies;
+
+use ring_stats::{Histogram, Table};
+use ring_workloads::AppProfile;
+
+use crate::{maybe_fast, run_cell, Proto};
+
+/// One experiment of the registry.
+#[derive(Debug, Clone, Copy)]
+pub struct Experiment {
+    /// The name `paper` takes.
+    pub name: &'static str,
+    /// What it regenerates, one line.
+    pub about: &'static str,
+    /// Runs it with the arguments that follow the name.
+    pub run: fn(&[String]) -> Result<(), String>,
+}
+
+/// Every experiment: the §7 figures, the ablations and the studies.
+#[rustfmt::skip]
+pub const EXPERIMENTS: [Experiment; 16] = [
+    exp("fig5_anatomy", "Figure 5(b) latency anatomy [app]", figures::fig5_anatomy),
+    exp("fig8_hist", "Figures 8(a)/(b) c2c latency histograms [app]", figures::fig8_hist),
+    exp("fig8_table", "Figure 8(c) read-miss latency table", figures::fig8_table),
+    exp("fig9_exec_time", "Figure 9 normalized execution time", figures::fig9_exec_time),
+    exp("fig10_prefetch", "Figure 10 prefetching impact", figures::fig10_prefetch),
+    exp("fig11_ht", "Figure 11 Uncorq vs HyperTransport", figures::fig11_ht),
+    exp("ablate_dual_ring", "dual-direction ring load balancing [app]", ablations::dual_ring),
+    exp("ablate_embedding", "snake vs row-major ring embedding [app]", ablations::embedding),
+    exp("ablate_ltt", "Ordering-invariant (LTT) enforcement cost", ablations::ltt),
+    exp("ablate_mem", "memory-controller concurrency [app]", ablations::mem),
+    exp("ablate_npp", "Node Prefetch Predictor capacity [app]", ablations::npp),
+    exp("ablate_read_transfer", "§5.5 read suppliership transfer [app]", ablations::read_transfer),
+    exp("ablate_winner", "winner-selection policy on hot locks", ablations::winner),
+    exp("calibrate", "per-app calibration against Figure 8(c) [app ...]", studies::calibrate),
+    exp("probe_single_miss", "directed latency-anatomy probes", studies::probe_single_miss),
+    exp("sweep_scale", "16- to 128-node scaling study [app]", studies::sweep_scale),
+];
+
+const fn exp(
+    name: &'static str,
+    about: &'static str,
+    run: fn(&[String]) -> Result<(), String>,
+) -> Experiment {
+    Experiment { name, about, run }
+}
+
+/// Looks an experiment up by name.
+pub fn find(name: &str) -> Option<&'static Experiment> {
+    EXPERIMENTS.iter().find(|e| e.name == name)
+}
+
+/// Whether `app` is one of the 11 SPLASH-2 applications.
+fn is_splash(app: &str) -> bool {
+    AppProfile::splash2().iter().any(|p| p.name == app)
+}
+
+/// Runs `f` on every application in the paper's order, scaled by
+/// [`maybe_fast`], reporting progress on stderr.
+fn each_app(mut f: impl FnMut(&AppProfile) -> Result<(), String>) -> Result<(), String> {
+    for profile in AppProfile::all() {
+        let profile = maybe_fast(profile);
+        f(&profile)?;
+        eprintln!("  done: {}", profile.name);
+    }
+    Ok(())
+}
+
+/// Fills a per-application table in the paper's layout: one row per
+/// application and, between separators after `water-spatial`, the
+/// SPLASH-2 average row. `measure` returns an application's measured
+/// columns; `cells` formats measured columns beside the published row
+/// (for the average row: the column means beside [`SPLASH2_AVERAGE`]).
+fn per_app_table(
+    t: &mut Table,
+    mut measure: impl FnMut(&AppProfile) -> Result<Vec<f64>, String>,
+    cells: impl Fn(&[f64], &PaperRow) -> Vec<String>,
+) -> Result<(), String> {
+    let mut sums: Vec<f64> = Vec::new();
+    let splash_n = AppProfile::splash2().len() as f64;
+    let row = |name: &str, measured: &[f64], published: &PaperRow| {
+        [vec![name.to_string()], cells(measured, published)].concat()
+    };
+    each_app(|profile| {
+        let measured = measure(profile)?;
+        let published = paper_row(&profile.name).expect("paper row");
+        t.row(row(&profile.name, &measured, published));
+        if is_splash(&profile.name) {
+            sums.resize(measured.len(), 0.0);
+            for (s, m) in sums.iter_mut().zip(&measured) {
+                *s += m;
+            }
+        }
+        if profile.name == "water-spatial" {
+            let means: Vec<f64> = sums.iter().map(|s| s / splash_n).collect();
+            t.separator();
+            t.row(row("SPLASH-2 avg.", &means, &SPLASH2_AVERAGE));
+            t.separator();
+        }
+        Ok(())
+    })
+}
+
+/// A measured value beside its published one: `"123 (120)"`.
+fn vs(measured: f64, published: impl std::fmt::Display) -> String {
+    format!("{measured:.0} ({published})")
+}
+
+/// Runs `proto` on `profile` and prints its cache-to-cache read-miss
+/// latency histogram (Figures 8(a)/(b) and 11(a)/(b)); only Figure 8
+/// prints the maximum.
+fn c2c_histogram(
+    fig: &str,
+    proto: Proto,
+    profile: &AppProfile,
+    with_max: bool,
+) -> Result<Histogram, String> {
+    let h = run_cell(proto, profile)?.stats.c2c_histogram;
+    let max = if with_max {
+        format!(" max={}", h.max().unwrap_or(0))
+    } else {
+        String::new()
+    };
+    println!(
+        "Figure {fig} — cache-to-cache read miss latency in {} with {}\n\
+         samples={} mean={:.0} p50={} p90={}{max}\n",
+        profile.name,
+        proto.name(),
+        h.total(),
+        h.mean(),
+        h.percentile(50.0),
+        h.percentile(90.0),
+    );
+    println!("{}", h.render_ascii(48));
+    Ok(h)
+}
 
 /// One application row across the paper's Figures 8(c), 10(b) and 11(c).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -120,5 +263,26 @@ mod tests {
     fn lookup_by_name() {
         assert_eq!(paper_row("fmm").unwrap().eager_lat, 345);
         assert!(paper_row("nope").is_none());
+    }
+
+    #[test]
+    fn registry_names_are_unique_and_documented() {
+        let doc =
+            std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../EXPERIMENTS.md"))
+                .expect("EXPERIMENTS.md at the workspace root");
+        for (i, e) in EXPERIMENTS.iter().enumerate() {
+            assert!(
+                EXPERIMENTS[..i].iter().all(|o| o.name != e.name),
+                "duplicate experiment {}",
+                e.name
+            );
+            assert!(
+                doc.contains(&format!("paper -- {}", e.name)),
+                "EXPERIMENTS.md does not show how to run {}",
+                e.name
+            );
+            assert_eq!(find(e.name).map(|f| f.name), Some(e.name));
+        }
+        assert!(find("fig12").is_none());
     }
 }

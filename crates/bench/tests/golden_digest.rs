@@ -449,8 +449,8 @@ fn sweep_serial_and_parallel_agree_on_golden_grid() {
             ops: ops_for(16),
         })
         .collect();
-    let serial = run_sweep(&cells, 1);
-    let parallel = run_sweep(&cells, 4);
+    let serial = run_sweep(&cells, 1, 1);
+    let parallel = run_sweep(&cells, 4, 1);
     for (s, p) in serial.iter().zip(&parallel) {
         assert_eq!(
             s.determinism_key(),
