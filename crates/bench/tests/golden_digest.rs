@@ -18,7 +18,7 @@
 use bench::sweep::{report_digest, run_sweep, DigestSink, SweepCell};
 use ring_coherence::ProtocolVariant;
 use ring_noc::{FaultPlan, FaultProfile, ReliabilityConfig};
-use ring_system::{restore_latest, Machine, MachineConfig};
+use ring_system::{restore_latest, HtMachine, Machine, MachineConfig};
 use ring_trace::SharedBufferSink;
 use ring_workloads::AppProfile;
 
@@ -160,6 +160,43 @@ const GOLDEN: &[(ProtocolVariant, usize, usize, u64, u64, u64)] = &[
     ),
 ];
 
+/// The HyperTransport baseline on the ring rows' seed, app and ops:
+/// `(width, height, report digest, trace digest, trace events)`.
+const GOLDEN_HT: &[(usize, usize, u64, u64, u64)] = &[
+    (4, 4, 0x2711a6e405eaa14c, 0x84b585a373eda930, 6103),
+    (8, 8, 0x16a361bc082afaf0, 0x4a2e9ddd099e76b2, 33682),
+];
+
+/// The HT machine for one golden cell, with a digest sink installed.
+fn ht_cell(width: usize, height: usize) -> (HtMachine, DigestSink) {
+    let mut cfg = MachineConfig::with_protocol(ProtocolVariant::Eager.config());
+    cfg.width = width;
+    cfg.height = height;
+    cfg.seed = SEED;
+    let profile = AppProfile::by_name("fmm")
+        .expect("fmm")
+        .scaled(ops_for(width * height));
+    let mut m = HtMachine::new(cfg, &profile);
+    let sink = DigestSink::new();
+    m.set_trace_sink(Box::new(sink.clone()));
+    (m, sink)
+}
+
+#[test]
+fn golden_digests_ht() {
+    for &(w, h, report, trace, events) in GOLDEN_HT {
+        let (mut m, sink) = ht_cell(w, h);
+        let r = m.run();
+        assert!(r.finished, "HT at {w}x{h} hit the cycle cap");
+        let (t, n) = sink.digest();
+        assert_eq!(
+            (report_digest(&r), t, n),
+            (report, trace, events),
+            "HT at {w}x{h}: digests diverged from golden"
+        );
+    }
+}
+
 fn check(nodes: usize) {
     let mut checked = 0;
     for &(variant, w, h, report, trace, events) in GOLDEN {
@@ -258,6 +295,17 @@ fn flight_recorder_reproduces_golden_digests() {
             "{variant} at {w}x{h}: the recorder should have captured windows"
         );
     }
+    let &(w, h, report, trace, events) = &GOLDEN_HT[0];
+    let (mut m, sink) = ht_cell(w, h);
+    m.enable_flight_recorder(FlightRecorder::new(FlightConfig::with_interval(1000)));
+    let r = m.try_run().expect("no stall");
+    let (t, n) = sink.digest();
+    assert_eq!(
+        (report_digest(&r), t, n),
+        (report, trace, events),
+        "HT at {w}x{h}: an installed flight recorder must be byte-identical to golden"
+    );
+    assert!(!m.flight().expect("recorder stays installed").is_empty());
 }
 
 /// Active checkpointing is pure observation: with snapshots being

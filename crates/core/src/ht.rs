@@ -340,23 +340,40 @@ impl HtAgent {
         self.l2.insert(line, state);
     }
 
-    /// Handles one input at cycle `now`.
+    /// Own transactions outstanding (MSHR entries in use).
+    pub fn outstanding_count(&self) -> usize {
+        self.outstanding.len()
+    }
+
+    /// Core requests deferred on a full MSHR or a same-line transaction.
+    pub fn pending_core_len(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// Handles one input at cycle `now` (allocating wrapper around
+    /// [`HtAgent::handle_into`]).
     pub fn handle(&mut self, now: Cycle, input: HtInput) -> Vec<HtEffect> {
         let mut fx = Vec::new();
+        self.handle_into(now, input, &mut fx);
+        fx
+    }
+
+    /// Handles one input at cycle `now`, appending its effects to `fx`
+    /// (the machine reuses one buffer for the whole run).
+    pub fn handle_into(&mut self, now: Cycle, input: HtInput, fx: &mut Vec<HtEffect>) {
         match input {
-            HtInput::CoreRequest { line, write } => self.core_request(now, line, write, &mut fx),
-            HtInput::Request(req) => self.home_request(now, req, &mut fx),
+            HtInput::CoreRequest { line, write } => self.core_request(now, line, write, fx),
+            HtInput::Request(req) => self.home_request(now, req, fx),
             HtInput::Probe(p) => fx.push(HtEffect::StartSnoop {
                 probe: p,
                 delay: self.snoop_latency,
             }),
-            HtInput::ProbeSnoopDone(p) => self.probe_snoop(now, p, &mut fx),
-            HtInput::Response(r) => self.response(now, r, &mut fx),
-            HtInput::Data(d) => self.data(now, d, &mut fx),
-            HtInput::MemData { line } => self.home_mem_data(line, &mut fx),
-            HtInput::Done(d) => self.home_done(now, d, &mut fx),
+            HtInput::ProbeSnoopDone(p) => self.probe_snoop(now, p, fx),
+            HtInput::Response(r) => self.response(now, r, fx),
+            HtInput::Data(d) => self.data(now, d, fx),
+            HtInput::MemData { line } => self.home_mem_data(line, fx),
+            HtInput::Done(d) => self.home_done(now, d, fx),
         }
-        fx
     }
 
     fn core_request(&mut self, now: Cycle, line: LineAddr, write: bool, fx: &mut Vec<HtEffect>) {

@@ -1,6 +1,6 @@
 //! Effect execution, factored out of the event loop.
 //!
-//! The serial loop ([`crate::Machine::try_run`]) and the parallel
+//! The serial loop ([`crate::Sim::try_run`]) and the parallel
 //! driver ([`crate::Machine::try_run_parallel`]) commit events through
 //! the exact same code: a [`Ctx`] borrows every piece of machine state
 //! an event handler can touch, with the per-node shards (cores and
@@ -10,14 +10,19 @@
 //! protocol of [`crate::par`]). One code path means the observable
 //! event order, trace stream, statistics, and digests cannot diverge
 //! between the two engines.
+//!
+//! A [`Ctx`] is generic over the machine's [`NodeAgent`]: core
+//! scheduling, tracing, memory completions, reliable transport and the
+//! invariant check are shared, and only effect application is
+//! protocol-specific (the ring's below, HT's in `ht_machine.rs`).
 
 use ring_cache::LineAddr;
 use ring_coherence::{AgentInput, Effect, RingAgent, TxnId, TxnKind, CONTROL_BYTES};
 use ring_cpu::{Core, L2View, NextStep};
 use ring_mem::{ControllerPrefetchPredictor, MemoryController, PrefetchBuffer};
 use ring_noc::{
-    Channel, Delivery, DeliveryClass, FaultKind, InjectedFault, Network, OutageEvent, RelAction,
-    ReliableTransport, RingEmbedding,
+    Channel, Delivery, DeliveryClass, FaultKind, InjectedFault, Network, NocError, OutageEvent,
+    RelAction, ReliableTransport, RingEmbedding,
 };
 use ring_sim::{Cycle, EventQueue, FxHashMap, Watchdog};
 use ring_trace::{
@@ -25,7 +30,7 @@ use ring_trace::{
 };
 
 use crate::config::MachineConfig;
-use crate::machine::{fault_class, input_ids, op_class, AnatomyMark, Ev, RECENT_EVENTS};
+use crate::machine::{fault_class, op_class, AnatomyMark, Ev, NodeAgent, RECENT_EVENTS};
 
 /// Raw per-node shard pointers into the machine's core and agent
 /// arrays, for the parallel engine.
@@ -39,23 +44,24 @@ use crate::machine::{fault_class, input_ids, op_class, AnatomyMark, Ev, RECENT_E
 /// hand-off ordered by Release/Acquire on the done flags and the
 /// applied cursor. The pointers are derived from live `&mut` borrows
 /// that outlast every dereference (the thread scope ends first).
-pub(crate) struct ShardPtrs {
+pub(crate) struct ShardPtrs<A> {
     cores: *mut Core,
-    agents: *mut RingAgent,
+    agents: *mut A,
     len: usize,
 }
 
 // Safety: see the struct-level protocol — all concurrent access is to
 // disjoint nodes, with cross-thread hand-offs fenced by the round
-// protocol's atomics.
-unsafe impl Send for ShardPtrs {}
-unsafe impl Sync for ShardPtrs {}
+// protocol's atomics. `A: Send` because phase-A workers mutate agents
+// on their own threads.
+unsafe impl<A: Send> Send for ShardPtrs<A> {}
+unsafe impl<A: Send> Sync for ShardPtrs<A> {}
 
-impl ShardPtrs {
+impl<A> ShardPtrs<A> {
     /// Captures shard pointers over the machine's node arrays. The
     /// borrows this is called with must outlive every dereference (in
     /// practice: the worker thread scope).
-    pub(crate) fn new(cores: &mut [Core], agents: &mut [RingAgent]) -> Self {
+    pub(crate) fn new(cores: &mut [Core], agents: &mut [A]) -> Self {
         assert_eq!(cores.len(), agents.len());
         ShardPtrs {
             len: cores.len(),
@@ -74,7 +80,7 @@ impl ShardPtrs {
     // The `&self -> &mut` projection is the whole point of the type:
     // exclusivity comes from the round protocol, not the borrow checker.
     #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn core_agent(&self, n: usize) -> (&mut Core, &RingAgent) {
+    pub(crate) unsafe fn core_agent(&self, n: usize) -> (&mut Core, &A) {
         assert!(n < self.len);
         (&mut *self.cores.add(n), &*self.agents.add(n))
     }
@@ -85,7 +91,7 @@ impl ShardPtrs {
     ///
     /// Same exclusive-right obligation as [`ShardPtrs::core_agent`].
     #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn agent_mut(&self, n: usize) -> &mut RingAgent {
+    pub(crate) unsafe fn agent_mut(&self, n: usize) -> &mut A {
         assert!(n < self.len);
         &mut *self.agents.add(n)
     }
@@ -94,21 +100,21 @@ impl ShardPtrs {
 /// How a [`Ctx`] reaches per-node state: exclusively (serial engine,
 /// whole-machine borrows) or through shard pointers (parallel driver,
 /// which only ever touches the node whose event it is committing).
-pub(crate) enum NodeAccess<'a> {
+pub(crate) enum NodeAccess<'a, A> {
     /// The serial engine: plain exclusive borrows of both arrays.
     Excl {
         /// All cores.
         cores: &'a mut [Core],
         /// All agents.
-        agents: &'a mut [RingAgent],
+        agents: &'a mut [A],
     },
     /// The parallel driver's shard view. Only the node named in each
     /// accessor call is touched, under the round protocol.
-    Shard(&'a ShardPtrs),
+    Shard(&'a ShardPtrs<A>),
 }
 
-impl NodeAccess<'_> {
-    fn core_mut(&mut self, n: usize) -> &mut Core {
+impl<A> NodeAccess<'_, A> {
+    pub(crate) fn core_mut(&mut self, n: usize) -> &mut Core {
         match self {
             NodeAccess::Excl { cores, .. } => &mut cores[n],
             // Safety: the driver holds node `n` exclusively while
@@ -118,7 +124,7 @@ impl NodeAccess<'_> {
         }
     }
 
-    fn agent_mut(&mut self, n: usize) -> &mut RingAgent {
+    fn agent_mut(&mut self, n: usize) -> &mut A {
         match self {
             NodeAccess::Excl { agents, .. } => &mut agents[n],
             // Safety: as in `core_mut`.
@@ -126,7 +132,7 @@ impl NodeAccess<'_> {
         }
     }
 
-    fn agent(&self, n: usize) -> &RingAgent {
+    fn agent(&self, n: usize) -> &A {
         match self {
             NodeAccess::Excl { agents, .. } => &agents[n],
             // Safety: as in `core_mut` (exclusive right implies shared
@@ -135,7 +141,7 @@ impl NodeAccess<'_> {
         }
     }
 
-    fn core_agent(&mut self, n: usize) -> (&mut Core, &RingAgent) {
+    fn core_agent(&mut self, n: usize) -> (&mut Core, &A) {
         match self {
             NodeAccess::Excl { cores, agents } => (&mut cores[n], &agents[n]),
             // Safety: as in `core_mut`; core and agent of one node are
@@ -147,7 +153,7 @@ impl NodeAccess<'_> {
     /// Whole-machine agent scan — only the serial engine may do this
     /// (the parallel engine falls back to serial when invariant
     /// checking, the one consumer, is enabled).
-    fn all_agents(&self) -> &[RingAgent] {
+    fn all_agents(&self) -> &[A] {
         match self {
             NodeAccess::Excl { agents, .. } => agents,
             NodeAccess::Shard(_) => {
@@ -173,7 +179,7 @@ pub(crate) enum ResumeStep {
 /// Advances node `n`'s core by one scheduling step. Touches only that
 /// node's core (mutably) and agent (read-only): safe for a phase-A
 /// worker that owns the node's LP.
-pub(crate) fn resume_compute(core: &mut Core, agent: &RingAgent, slice: u64) -> ResumeStep {
+pub(crate) fn resume_compute<A: NodeAgent>(core: &mut Core, agent: &A, slice: u64) -> ResumeStep {
     if core.is_finished() {
         // A core that drained its last stores finishes here rather
         // than through a Finished step.
@@ -201,31 +207,31 @@ pub(crate) fn resume_compute(core: &mut Core, agent: &RingAgent, slice: u64) -> 
 
 /// Everything an event handler can touch, borrowed out of the machine.
 /// See the module docs for why this exists.
-pub(crate) struct Ctx<'a> {
-    pub cfg: &'a MachineConfig,
-    pub queue: &'a mut EventQueue<Ev>,
-    pub net: &'a mut Network,
-    pub rings: &'a [RingEmbedding],
-    pub nodes: NodeAccess<'a>,
-    pub mem: &'a mut MemoryController,
-    pub cpp: &'a mut ControllerPrefetchPredictor,
-    pub pbufs: &'a mut [PrefetchBuffer],
-    pub finish_time: &'a mut [Option<Cycle>],
-    pub stats: &'a mut crate::stats::MachineStats,
-    pub registry: &'a mut MetricsRegistry,
-    pub anatomy_marks: &'a mut FxHashMap<(usize, u64), AnatomyMark>,
-    pub mc_buf: &'a mut Vec<Delivery>,
-    pub trace: &'a mut std::collections::BTreeMap<LineAddr, Vec<TraceEvent>>,
-    pub sink: &'a mut Option<Box<dyn TraceSink>>,
-    pub trace_enabled: bool,
-    pub watchdog: &'a mut Watchdog,
-    pub recent: &'a mut std::collections::VecDeque<TraceEvent>,
-    pub rel: &'a mut Option<ReliableTransport<AgentInput>>,
-    pub rel_buf: &'a mut Vec<RelAction<AgentInput>>,
-    pub outage_buf: &'a mut Vec<OutageEvent>,
+pub struct Ctx<'a, A: NodeAgent> {
+    pub(crate) cfg: &'a MachineConfig,
+    pub(crate) queue: &'a mut EventQueue<Ev<A::Input>>,
+    pub(crate) net: &'a mut Network,
+    pub(crate) rings: &'a [RingEmbedding],
+    pub(crate) nodes: NodeAccess<'a, A>,
+    pub(crate) mem: &'a mut MemoryController,
+    pub(crate) cpp: &'a mut ControllerPrefetchPredictor,
+    pub(crate) pbufs: &'a mut [PrefetchBuffer],
+    pub(crate) finish_time: &'a mut [Option<Cycle>],
+    pub(crate) stats: &'a mut crate::stats::MachineStats,
+    pub(crate) registry: &'a mut MetricsRegistry,
+    pub(crate) anatomy_marks: &'a mut FxHashMap<(usize, u64), AnatomyMark>,
+    pub(crate) mc_buf: &'a mut Vec<Delivery>,
+    pub(crate) trace: &'a mut std::collections::BTreeMap<LineAddr, Vec<TraceEvent>>,
+    pub(crate) sink: &'a mut Option<Box<dyn TraceSink>>,
+    pub(crate) trace_enabled: bool,
+    pub(crate) watchdog: &'a mut Watchdog,
+    pub(crate) recent: &'a mut std::collections::VecDeque<TraceEvent>,
+    pub(crate) rel: &'a mut Option<ReliableTransport<A::Input>>,
+    pub(crate) rel_buf: &'a mut Vec<RelAction<A::Input>>,
+    pub(crate) outage_buf: &'a mut Vec<OutageEvent>,
 }
 
-impl Ctx<'_> {
+impl<A: NodeAgent> Ctx<'_, A> {
     fn node(&self, n: usize) -> ring_noc::NodeId {
         ring_noc::NodeId(n)
     }
@@ -282,17 +288,37 @@ impl Ctx<'_> {
         });
     }
 
+    /// A corrupted multicast tree: the broadcast node `n` sent for `txn`
+    /// is dropped and the error traced (recorded even without a sink,
+    /// so stall reports show it) instead of panicking.
+    pub(crate) fn multicast_failed(
+        &mut self,
+        t: Cycle,
+        n: usize,
+        txn: TxnId,
+        line: LineAddr,
+        err: NocError,
+    ) {
+        eprintln!("multicast from node {n} at cycle {t} failed: {err}");
+        self.emit(TraceEvent {
+            cycle: t,
+            node: n as u32,
+            txn_node: txn.node.0 as u32,
+            txn_serial: txn.serial,
+            line: line.raw(),
+            kind: TraceKind::ProtocolError {
+                error: ErrorClass::MulticastTreeDisorder,
+            },
+        });
+    }
+
     /// Runs one reliable-transport callback with the transport
     /// temporarily moved out (it needs `&mut Network` at the same
     /// time), then applies the resulting actions.
     pub(crate) fn rel_event(
         &mut self,
         t: Cycle,
-        f: impl FnOnce(
-            &mut ReliableTransport<AgentInput>,
-            &mut Network,
-            &mut Vec<RelAction<AgentInput>>,
-        ),
+        f: impl FnOnce(&mut ReliableTransport<A::Input>, &mut Network, &mut Vec<RelAction<A::Input>>),
     ) {
         let Some(mut rel) = self.rel.take() else {
             return;
@@ -309,7 +335,7 @@ impl Ctx<'_> {
     /// schedules wire/timer events, hands payloads to agents at the
     /// exactly-once boundary, accounts traffic, traces recovery, and
     /// feeds the watchdog's reliability-progress channel.
-    fn process_rel_actions(&mut self, t: Cycle, acts: &mut Vec<RelAction<AgentInput>>) {
+    fn process_rel_actions(&mut self, t: Cycle, acts: &mut Vec<RelAction<A::Input>>) {
         self.drain_outages(t);
         for a in acts.drain(..) {
             match a {
@@ -322,7 +348,7 @@ impl Ctx<'_> {
                 } => {
                     self.watchdog.net_progress(t);
                     if self.trace_enabled {
-                        let (txn, line) = input_ids(&payload);
+                        let (txn, line) = A::input_ids(&payload).unwrap_or_default();
                         self.emit(TraceEvent {
                             cycle: t,
                             node: to.0 as u32,
@@ -464,16 +490,8 @@ impl Ctx<'_> {
                 self.queue.schedule(t + cycles.max(1), Ev::Resume(n));
             }
             NextStep::BlockedRead { cycles, line } => {
-                self.queue.schedule(
-                    t + cycles,
-                    Ev::Agent(
-                        n,
-                        AgentInput::CoreRequest {
-                            line,
-                            kind: TxnKind::Read,
-                        },
-                    ),
-                );
+                self.queue
+                    .schedule(t + cycles, Ev::Agent(n, A::read_request(line)));
             }
             NextStep::IssueWrite { cycles, line } => {
                 self.issue_write(t + cycles, n, line);
@@ -493,11 +511,8 @@ impl Ctx<'_> {
 
     /// Issues (or locally absorbs) a write transaction for `line`.
     fn issue_write(&mut self, t: Cycle, n: usize, line: LineAddr) {
-        match self.nodes.agent(n).classify_store(line) {
-            Some(kind) => {
-                self.queue
-                    .schedule(t, Ev::Agent(n, AgentInput::CoreRequest { line, kind }));
-            }
+        match self.nodes.agent(n).write_request(line) {
+            Some(input) => self.queue.schedule(t, Ev::Agent(n, input)),
             None => {
                 // Became silently writable since classification (e.g. a
                 // racing completion): complete instantly.
@@ -506,7 +521,7 @@ impl Ctx<'_> {
         }
     }
 
-    fn write_completed(&mut self, t: Cycle, n: usize, line: LineAddr) {
+    pub(crate) fn write_completed(&mut self, t: Cycle, n: usize, line: LineAddr) {
         let (pending, unblocked) = self.nodes.core_mut(n).write_complete(line);
         if let Some(pl) = pending {
             self.issue_write(t, n, pl);
@@ -516,8 +531,133 @@ impl Ctx<'_> {
         }
     }
 
-    /// Applies the effects in `fx`, draining it (the buffer is reused
-    /// across events). Never calls back into agent handling.
+    /// Schedules a memory-data delivery at `at`, possibly duplicated
+    /// under fault injection — in-spec because the agent's `MemData`
+    /// handling is idempotent (data for a line with no waiting
+    /// transaction is dropped).
+    pub(crate) fn schedule_mem_done(&mut self, t: Cycle, n: usize, line: LineAddr, at: Cycle) {
+        let duplicate = self
+            .net
+            .faults_mut()
+            .and_then(|fi| fi.duplicate(DeliveryClass::Direct));
+        if let Some(extra) = duplicate {
+            let txn = TxnId {
+                node: ring_noc::NodeId(n),
+                serial: 0,
+            };
+            self.emit_fault(
+                t,
+                n,
+                txn,
+                line.raw(),
+                InjectedFault {
+                    kind: FaultKind::Duplicate,
+                    delay: extra,
+                },
+            );
+            self.queue.schedule(at + extra, Ev::MemDone(n, line));
+        }
+        self.queue.schedule(at, Ev::MemDone(n, line));
+    }
+
+    /// Asserts the coherence invariants for one line (enabled with
+    /// [`MachineConfig::check_invariants`]): at most one supplier, and no
+    /// valid non-supplier copies without *some* designated supplier having
+    /// existed (Shared copies may transiently outlive a supplier eviction,
+    /// which the protocol handles via the memory path, so only the
+    /// single-supplier half is asserted).
+    ///
+    /// Scans every agent, so it only runs on the serial engine (the
+    /// parallel engine falls back to serial under `check_invariants`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if two nodes simultaneously hold `line` in supplier states.
+    pub(crate) fn check_line_invariants(&self, t: Cycle, line: LineAddr) {
+        // A node with an outstanding transaction on the line may hold a
+        // logically dead supplier-state copy (the paper defers its
+        // invalidation until the transaction loses), and it snoops
+        // negative meanwhile -- so only settled copies count.
+        let agents = self.nodes.all_agents();
+        let suppliers: Vec<usize> = agents
+            .iter()
+            .enumerate()
+            .filter(|(_, a)| a.l2().state(line).is_supplier() && !a.has_outstanding(line))
+            .map(|(n, _)| n)
+            .collect();
+        if suppliers.len() > 1 {
+            for (n, a) in agents.iter().enumerate() {
+                let st = a.l2().state(line);
+                if st.is_valid() || a.is_line_engaged(line) {
+                    eprintln!(
+                        "  node {n}: state={st} outstanding={} engaged={}",
+                        a.has_outstanding(line),
+                        a.is_line_engaged(line)
+                    );
+                }
+            }
+            if let Some(events) = self.trace.get(&line) {
+                for e in events
+                    .iter()
+                    .rev()
+                    .take(200)
+                    .collect::<Vec<_>>()
+                    .iter()
+                    .rev()
+                {
+                    eprintln!("  {e}");
+                }
+            }
+            panic!(
+                "single-supplier invariant violated at cycle {t}: line {line} \
+                 held in supplier state by settled nodes {suppliers:?}"
+            );
+        }
+    }
+
+    /// Dispatches one popped event exactly as the serial engine always
+    /// has. `fx` is the machine's reusable effect buffer.
+    pub(crate) fn dispatch(&mut self, t: Cycle, ev: Ev<A::Input>, fx: &mut Vec<A::Effect>) {
+        match ev {
+            Ev::Resume(n) => self.resume(t, n),
+            Ev::RelWire(frame) => {
+                self.rel_event(t, |rel, net, acts| rel.on_wire(net, t, frame, acts));
+            }
+            Ev::RelTimer(flow) => {
+                self.rel_event(t, |rel, net, acts| rel.on_timer(net, t, flow, acts));
+            }
+            Ev::RelAck(flow) => {
+                self.rel_event(t, |rel, net, acts| rel.on_ack_timer(net, t, flow, acts));
+            }
+            Ev::Agent(n, input) => self.handle_agent_event(t, n, input, fx),
+            Ev::MemDone(n, line) => {
+                self.handle_agent_event(t, n, A::mem_data(line), fx);
+            }
+        }
+    }
+
+    /// Handles one agent-input event end to end on the serial engine:
+    /// agent handling, trace drain, effect application. `fx` is the
+    /// machine's reusable effect buffer, passed in to avoid aliasing.
+    pub(crate) fn handle_agent_event(
+        &mut self,
+        t: Cycle,
+        n: usize,
+        input: A::Input,
+        fx: &mut Vec<A::Effect>,
+    ) {
+        fx.clear();
+        self.nodes.agent_mut(n).handle_into(t, input, fx);
+        if self.trace_enabled {
+            self.drain_agent_trace(n);
+        }
+        A::apply_effects(self, t, n, fx);
+    }
+}
+
+impl Ctx<'_, RingAgent> {
+    /// Applies a ring agent's effects in `fx`, draining it (the buffer
+    /// is reused across events). Never calls back into agent handling.
     pub(crate) fn apply_effects(&mut self, t: Cycle, n: usize, fx: &mut Vec<Effect>) {
         for e in fx.drain(..) {
             match e {
@@ -640,17 +780,7 @@ impl Ctx<'_> {
                         ds.clear();
                         *self.mc_buf = ds;
                         if let Some(noc_err) = tree_err {
-                            eprintln!("multicast from node {n} at cycle {t} failed: {noc_err}");
-                            self.emit(TraceEvent {
-                                cycle: t,
-                                node: n as u32,
-                                txn_node: req.txn.node.0 as u32,
-                                txn_serial: req.txn.serial,
-                                line: req.line.raw(),
-                                kind: TraceKind::ProtocolError {
-                                    error: ErrorClass::MulticastTreeDisorder,
-                                },
-                            });
+                            self.multicast_failed(t, n, req.txn, req.line, noc_err);
                         }
                         continue;
                     }
@@ -693,22 +823,8 @@ impl Ctx<'_> {
                             }
                         }
                         Err(noc_err) => {
-                            // A corrupted multicast tree: drop the
-                            // broadcast and trace the error (recorded
-                            // even without a sink, so stall reports
-                            // show it) instead of panicking.
                             ds.clear();
-                            eprintln!("multicast from node {n} at cycle {t} failed: {noc_err}");
-                            self.emit(TraceEvent {
-                                cycle: t,
-                                node: n as u32,
-                                txn_node: req.txn.node.0 as u32,
-                                txn_serial: req.txn.serial,
-                                line: req.line.raw(),
-                                kind: TraceKind::ProtocolError {
-                                    error: ErrorClass::MulticastTreeDisorder,
-                                },
-                            });
+                            self.multicast_failed(t, n, req.txn, req.line, noc_err);
                         }
                     }
                     *self.mc_buf = ds;
@@ -905,128 +1021,5 @@ impl Ctx<'_> {
                 }
             }
         }
-    }
-
-    /// Schedules a memory-data delivery at `at`, possibly duplicated
-    /// under fault injection — in-spec because the agent's `MemData`
-    /// handling is idempotent (data for a line with no waiting
-    /// transaction is dropped).
-    fn schedule_mem_done(&mut self, t: Cycle, n: usize, line: LineAddr, at: Cycle) {
-        let duplicate = self
-            .net
-            .faults_mut()
-            .and_then(|fi| fi.duplicate(DeliveryClass::Direct));
-        if let Some(extra) = duplicate {
-            let txn = TxnId {
-                node: ring_noc::NodeId(n),
-                serial: 0,
-            };
-            self.emit_fault(
-                t,
-                n,
-                txn,
-                line.raw(),
-                InjectedFault {
-                    kind: FaultKind::Duplicate,
-                    delay: extra,
-                },
-            );
-            self.queue.schedule(at + extra, Ev::MemDone(n, line));
-        }
-        self.queue.schedule(at, Ev::MemDone(n, line));
-    }
-
-    /// Asserts the coherence invariants for one line (enabled with
-    /// [`MachineConfig::check_invariants`]): at most one supplier, and no
-    /// valid non-supplier copies without *some* designated supplier having
-    /// existed (Shared copies may transiently outlive a supplier eviction,
-    /// which the protocol handles via the memory path, so only the
-    /// single-supplier half is asserted).
-    ///
-    /// Scans every agent, so it only runs on the serial engine (the
-    /// parallel engine falls back to serial under `check_invariants`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if two nodes simultaneously hold `line` in supplier states.
-    fn check_line_invariants(&self, t: Cycle, line: LineAddr) {
-        // A node with an outstanding transaction on the line may hold a
-        // logically dead supplier-state copy (the paper defers its
-        // invalidation until the transaction loses), and it snoops
-        // negative meanwhile -- so only settled copies count.
-        let agents = self.nodes.all_agents();
-        let suppliers: Vec<usize> = agents
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| a.l2().state(line).is_supplier() && !a.has_outstanding(line))
-            .map(|(n, _)| n)
-            .collect();
-        if suppliers.len() > 1 {
-            for (n, a) in agents.iter().enumerate() {
-                let st = a.l2().state(line);
-                if st.is_valid() || a.is_line_engaged(line) {
-                    eprintln!(
-                        "  node {n}: state={st} outstanding={} engaged={}",
-                        a.has_outstanding(line),
-                        a.is_line_engaged(line)
-                    );
-                }
-            }
-            if let Some(events) = self.trace.get(&line) {
-                for e in events
-                    .iter()
-                    .rev()
-                    .take(200)
-                    .collect::<Vec<_>>()
-                    .iter()
-                    .rev()
-                {
-                    eprintln!("  {e}");
-                }
-            }
-            panic!(
-                "single-supplier invariant violated at cycle {t}: line {line} \
-                 held in supplier state by settled nodes {suppliers:?}"
-            );
-        }
-    }
-
-    /// Dispatches one popped event exactly as the serial engine always
-    /// has. `fx` is the machine's reusable effect buffer.
-    pub(crate) fn dispatch(&mut self, t: Cycle, ev: Ev, fx: &mut Vec<Effect>) {
-        match ev {
-            Ev::Resume(n) => self.resume(t, n),
-            Ev::RelWire(frame) => {
-                self.rel_event(t, |rel, net, acts| rel.on_wire(net, t, frame, acts));
-            }
-            Ev::RelTimer(flow) => {
-                self.rel_event(t, |rel, net, acts| rel.on_timer(net, t, flow, acts));
-            }
-            Ev::RelAck(flow) => {
-                self.rel_event(t, |rel, net, acts| rel.on_ack_timer(net, t, flow, acts));
-            }
-            Ev::Agent(n, input) => self.handle_agent_event(t, n, input, fx),
-            Ev::MemDone(n, line) => {
-                self.handle_agent_event(t, n, AgentInput::MemData { line }, fx);
-            }
-        }
-    }
-
-    /// Handles one agent-input event end to end on the serial engine:
-    /// agent handling, trace drain, effect application. `fx` is the
-    /// machine's reusable effect buffer, passed in to avoid aliasing.
-    pub(crate) fn handle_agent_event(
-        &mut self,
-        t: Cycle,
-        n: usize,
-        input: AgentInput,
-        fx: &mut Vec<Effect>,
-    ) {
-        fx.clear();
-        self.nodes.agent_mut(n).handle_into(t, input, fx);
-        if self.trace_enabled {
-            self.drain_agent_trace(n);
-        }
-        self.apply_effects(t, n, fx);
     }
 }

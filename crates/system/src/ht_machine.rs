@@ -1,294 +1,120 @@
-//! The HyperTransport-baseline machine (paper §7.4).
+//! The HyperTransport baseline's agent on the shared machine (paper
+//! §7.4): what [`HtMachine`](crate::HtMachine) does with an [`HtAgent`]'s
+//! effects. The event loop, cores, memory, network, watchdog, tracing
+//! and report are shared with the ring machine ([`crate::Sim`]).
 
-use ring_cache::LineAddr;
+use ring_cache::{CacheArray, LineAddr, LineState};
 use ring_coherence::ht::{HtAgent, HtEffect, HtInput};
 use ring_coherence::{CONTROL_BYTES, DATA_BYTES};
-use ring_cpu::{Core, L2View, NextStep};
-use ring_mem::MemoryController;
-use ring_noc::{Channel, Network, NodeId, Torus};
-use ring_sim::{Cycle, EventQueue};
-use ring_trace::TraceSink;
-use ring_workloads::{AppProfile, WorkloadGen};
+use ring_noc::{Channel, NodeId};
+use ring_sim::{Cycle, DetRng};
+use ring_trace::{MetricsRegistry, TraceEvent};
 
 use crate::config::MachineConfig;
-use crate::stats::{MachineStats, Report};
+use crate::effects::Ctx;
+use crate::machine::{Ev, HtMachine, NodeAgent};
+use crate::stall::NodeStallState;
+use crate::stats::MachineStats;
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Ev {
-    Resume(usize),
-    Agent(usize, HtInput),
-    MemDone(usize, LineAddr),
+impl NodeAgent for HtAgent {
+    type Input = HtInput;
+    type Effect = HtEffect;
+    const MODELS_FAULTS: bool = false;
+
+    fn build(node: NodeId, cfg: &MachineConfig, _rng: &mut DetRng) -> Self {
+        HtAgent::new(node, cfg.nodes(), cfg.protocol.snoop_latency, cfg.l2)
+    }
+
+    fn warm_line(m: &mut HtMachine, line: LineAddr, owner: usize) {
+        m.agents[owner].install_line(line, LineState::Exclusive);
+    }
+
+    fn handle_into(&mut self, now: Cycle, input: HtInput, fx: &mut Vec<HtEffect>) {
+        HtAgent::handle_into(self, now, input, fx);
+    }
+
+    fn apply_effects(cx: &mut Ctx<'_, Self>, t: Cycle, n: usize, fx: &mut Vec<HtEffect>) {
+        cx.apply_effects(t, n, fx);
+    }
+
+    fn mem_data(line: LineAddr) -> HtInput {
+        HtInput::MemData { line }
+    }
+
+    fn read_request(line: LineAddr) -> HtInput {
+        HtInput::CoreRequest { line, write: false }
+    }
+
+    fn write_request(&self, line: LineAddr) -> Option<HtInput> {
+        self.classify_store(line)
+            .map(|write| HtInput::CoreRequest { line, write })
+    }
+
+    fn l2(&self) -> &CacheArray {
+        HtAgent::l2(self)
+    }
+
+    fn has_outstanding(&self, line: LineAddr) -> bool {
+        HtAgent::has_outstanding(self, line)
+    }
+
+    fn is_line_engaged(&self, line: LineAddr) -> bool {
+        HtAgent::is_line_engaged(self, line)
+    }
+
+    fn set_tracing(&mut self, on: bool) {
+        HtAgent::set_tracing(self, on);
+    }
+
+    fn drain_trace(&mut self) -> Vec<TraceEvent> {
+        HtAgent::drain_trace(self)
+    }
+
+    fn stall_state(&self) -> NodeStallState {
+        NodeStallState {
+            outstanding: self.outstanding_count(),
+            pending_core: self.pending_core_len(),
+            ..NodeStallState::default()
+        }
+    }
+
+    fn roll_up(m: &HtMachine, _reg: &mut MetricsRegistry, stats: &mut MachineStats) {
+        // No link loads: HT's listing has always printed
+        // `link_messages_*` as 0, and its digests pin that.
+        for agent in &m.agents {
+            stats.transactions += agent.stats().completed;
+            stats.snoops += agent.stats().snoops;
+        }
+    }
 }
 
-/// The same CMP as [`crate::Machine`] but running the HT-style broadcast
-/// protocol with per-address serialization points, for the Figure 11
-/// comparison. Uses the identical network, caches, memory, and workload
-/// streams.
-pub struct HtMachine {
-    cfg: MachineConfig,
-    queue: EventQueue<Ev>,
-    net: Network,
-    cores: Vec<Core>,
-    agents: Vec<HtAgent>,
-    mem: MemoryController,
-    finish_time: Vec<Option<Cycle>>,
-    stats: MachineStats,
-    sink: Option<Box<dyn TraceSink>>,
-}
-
-impl HtMachine {
-    /// Builds the HT machine over `profile`, with the shared regions
-    /// pre-warmed (the paper skips initialization).
-    pub fn new(cfg: MachineConfig, profile: &AppProfile) -> Self {
-        let nodes = cfg.nodes();
-        let seed = cfg.seed;
-        let streams: Vec<Box<dyn Iterator<Item = ring_cpu::Op> + Send>> = (0..nodes)
-            .map(|n| {
-                Box::new(WorkloadGen::new(profile, n, nodes, seed))
-                    as Box<dyn Iterator<Item = ring_cpu::Op> + Send>
-            })
-            .collect();
-        let mut m = Self::with_streams(cfg, streams);
-        for (raw, owner) in profile.warm_lines(nodes) {
-            m.agents[owner].install_line(LineAddr::new(raw), ring_cache::LineState::Exclusive);
-        }
-        m
-    }
-
-    /// Builds the HT machine over explicit per-core op streams, with cold
-    /// caches.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `streams.len() != cfg.nodes()`.
-    pub fn with_streams(
-        cfg: MachineConfig,
-        streams: Vec<Box<dyn Iterator<Item = ring_cpu::Op> + Send>>,
-    ) -> Self {
-        let nodes = cfg.nodes();
-        assert_eq!(streams.len(), nodes, "one op stream per node required");
-        if let Err(e) = cfg.validate() {
-            panic!("invalid machine config: {e}");
-        }
-        // The HT baseline models neither fault injection nor the
-        // reliability sublayer; a config asking for recovery machinery
-        // would silently measure nothing, so refuse it loudly.
-        assert!(
-            !cfg.reliability.enabled,
-            "HtMachine does not model the reliability sublayer; disable it for the HT baseline"
-        );
-        let torus = Torus::new(cfg.width, cfg.height);
-        let net = Network::new(torus, cfg.net);
-        let mut cores = Vec::with_capacity(nodes);
-        let mut agents = Vec::with_capacity(nodes);
-        for (n, stream) in streams.into_iter().enumerate() {
-            cores.push(Core::new(stream, cfg.l1, cfg.l2.latency, cfg.store_buffer));
-            agents.push(HtAgent::new(
-                NodeId(n),
-                nodes,
-                cfg.protocol.snoop_latency,
-                cfg.l2,
-            ));
-        }
-        let mut queue = EventQueue::new();
-        for n in 0..nodes {
-            queue.schedule(0, Ev::Resume(n));
-        }
-        HtMachine {
-            mem: MemoryController::new(cfg.mem),
-            cfg,
-            queue,
-            net,
-            cores,
-            agents,
-            finish_time: vec![None; nodes],
-            stats: MachineStats::default(),
-            sink: None,
-        }
-    }
-
-    /// Streams every structured trace event into `sink` (the HT agents
-    /// emit issue / snoop / suppliership / fetch / bind / complete
-    /// events; ring-specific events do not occur).
-    pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.sink = Some(sink);
-        for a in &mut self.agents {
-            a.set_tracing(true);
-        }
-    }
-
-    fn drain_agent_trace(&mut self, n: usize) {
-        let Some(sink) = self.sink.as_mut() else {
-            return;
-        };
-        for ev in self.agents[n].drain_trace() {
-            sink.record(&ev);
-        }
-    }
-
-    /// Runs to completion (or the cycle cap) and reports. The machine can
-    /// be inspected afterwards.
-    pub fn run(&mut self) -> Report {
-        let cap = if self.cfg.max_cycles == 0 {
-            Cycle::MAX
-        } else {
-            self.cfg.max_cycles
-        };
-        // `pop_before` leaves any event past the cap in the queue rather
-        // than popping and discarding it.
-        while let Some((t, ev)) = self.queue.pop_before(cap) {
-            match ev {
-                Ev::Resume(n) => self.resume(t, n),
-                Ev::Agent(n, input) => {
-                    let fx = self.agents[n].handle(t, input);
-                    self.drain_agent_trace(n);
-                    self.apply_effects(t, n, fx);
-                }
-                Ev::MemDone(n, line) => {
-                    let fx = self.agents[n].handle(t, HtInput::MemData { line });
-                    self.drain_agent_trace(n);
-                    self.apply_effects(t, n, fx);
-                }
-            }
-        }
-        if let Some(s) = self.sink.as_mut() {
-            let _ = s.flush();
-        }
-        self.report()
-    }
-
-    /// Builds the report for the run so far without consuming the
-    /// machine.
-    pub fn report(&self) -> Report {
-        let finished = self.finish_time.iter().all(Option::is_some);
-        let exec_cycles = self
-            .finish_time
-            .iter()
-            .map(|f| f.unwrap_or(self.queue.now()))
-            .max()
-            .unwrap_or(0);
-        let mut stats = self.stats.clone();
-        for core in &self.cores {
-            stats.ops_retired += core.stats().retired;
-        }
-        for agent in &self.agents {
-            let a = agent.stats();
-            stats.transactions += a.completed;
-            stats.snoops += a.snoops;
-        }
-        stats.events = self.queue.events_processed();
-        Report {
-            exec_cycles,
-            finished,
-            stats,
-        }
-    }
-
-    /// Read access to the per-node HT agents (post-run inspection).
-    pub fn agents(&self) -> &[HtAgent] {
-        &self.agents
-    }
-
-    /// Counts the nodes currently holding `line` in a supplier state.
-    pub fn supplier_count(&self, line: LineAddr) -> usize {
-        self.agents
-            .iter()
-            .filter(|a| a.l2().state(line).is_supplier())
-            .count()
-    }
-
-    fn resume(&mut self, t: Cycle, n: usize) {
-        if self.cores[n].is_finished() {
-            // A core that drained its last stores finishes here rather
-            // than through a Finished step.
-            if self.finish_time[n].is_none() {
-                self.finish_time[n] = Some(t);
-            }
-            return;
-        }
-        if self.cores[n].is_blocked() {
-            return;
-        }
-        let slice = self.cfg.core_slice;
-        let (cores, agents) = (&mut self.cores, &self.agents);
-        let agent = &agents[n];
-        let step = cores[n].next(slice, |line| {
-            if agent.is_line_engaged(line) {
-                L2View::Outstanding
-            } else {
-                let state = agent.l2().state(line);
-                if state.can_write_silently() {
-                    L2View::HitSilent
-                } else if state.is_valid() {
-                    L2View::HitNeedsOwnership
-                } else {
-                    L2View::Miss
-                }
-            }
-        });
-        match step {
-            NextStep::Advance { cycles } => {
-                self.queue.schedule(t + cycles.max(1), Ev::Resume(n));
-            }
-            NextStep::BlockedRead { cycles, line } => {
-                self.queue.schedule(
-                    t + cycles,
-                    Ev::Agent(n, HtInput::CoreRequest { line, write: false }),
-                );
-            }
-            NextStep::IssueWrite { cycles, line } => {
-                self.issue_write(t + cycles, n, line);
-                self.queue.schedule(t + cycles.max(1), Ev::Resume(n));
-            }
-            NextStep::BlockedStores { .. } => {}
-            NextStep::Finished => {
-                if self.finish_time[n].is_none() {
-                    self.finish_time[n] = Some(t);
-                }
-            }
-        }
-    }
-
-    fn issue_write(&mut self, t: Cycle, n: usize, line: LineAddr) {
-        if self.agents[n].classify_store(line).is_some() {
-            self.queue
-                .schedule(t, Ev::Agent(n, HtInput::CoreRequest { line, write: true }));
-        } else {
-            self.write_completed(t, n, line);
-        }
-    }
-
-    fn write_completed(&mut self, t: Cycle, n: usize, line: LineAddr) {
-        let (pending, unblocked) = self.cores[n].write_complete(line);
-        if let Some(pl) = pending {
-            self.issue_write(t, n, pl);
-        }
-        if unblocked {
-            self.queue.schedule(t, Ev::Resume(n));
-        }
-    }
-
-    fn apply_effects(&mut self, t: Cycle, n: usize, fx: Vec<HtEffect>) {
-        let me = NodeId(n);
-        for e in fx {
+impl Ctx<'_, HtAgent> {
+    /// Applies an HT agent's effects in `fx`, draining it. The network
+    /// is clean (HT refuses fault plans), so deliveries are never
+    /// perturbed.
+    pub(crate) fn apply_effects(&mut self, t: Cycle, n: usize, fx: &mut Vec<HtEffect>) {
+        for e in fx.drain(..) {
             match e {
                 HtEffect::SendRequest { home, req } => {
-                    let d = self
-                        .net
-                        .unicast(t, me, home, CONTROL_BYTES, Channel::Request);
-                    self.stats.traffic.add_control(CONTROL_BYTES, d.hops);
-                    self.queue
-                        .schedule(d.arrival, Ev::Agent(home.0, HtInput::Request(req)));
+                    self.registry.node_mut(n).requests += 1;
+                    self.send(t, n, home, Channel::Request, HtInput::Request(req));
                 }
                 HtEffect::Broadcast(probe) => {
                     let requester = probe.req.txn.node;
                     // The home snoops its own cache too (local probe).
-                    if me != requester {
+                    if n != requester.0 {
                         self.queue.schedule(t, Ev::Agent(n, HtInput::Probe(probe)));
                     }
-                    match self.net.multicast(t, me, CONTROL_BYTES, Channel::Request) {
-                        Ok(ds) => {
-                            for d in ds {
+                    let mut ds = std::mem::take(self.mc_buf);
+                    match self.net.multicast_into(
+                        t,
+                        NodeId(n),
+                        CONTROL_BYTES,
+                        Channel::Request,
+                        &mut ds,
+                    ) {
+                        Ok(()) => {
+                            for d in ds.drain(..) {
                                 self.stats.traffic.add_control(CONTROL_BYTES, d.hops);
                                 if d.to != requester {
                                     self.queue.schedule(
@@ -299,57 +125,35 @@ impl HtMachine {
                             }
                         }
                         Err(noc_err) => {
-                            // Drop the broadcast and trace rather than
-                            // panic; the watchdog-free HT machine will
-                            // simply never complete the transaction.
-                            eprintln!("broadcast from node {n} at cycle {t} failed: {noc_err}");
-                            if let Some(sink) = self.sink.as_mut() {
-                                sink.record(&ring_trace::TraceEvent {
-                                    cycle: t,
-                                    node: n as u32,
-                                    txn_node: probe.req.txn.node.0 as u32,
-                                    txn_serial: probe.req.txn.serial,
-                                    line: probe.req.line.raw(),
-                                    kind: ring_trace::EventKind::ProtocolError {
-                                        error: ring_trace::ErrorClass::MulticastTreeDisorder,
-                                    },
-                                });
-                            }
+                            ds.clear();
+                            self.multicast_failed(t, n, probe.req.txn, probe.req.line, noc_err);
                         }
                     }
+                    *self.mc_buf = ds;
                 }
                 HtEffect::StartSnoop { probe, delay } => {
                     self.queue
                         .schedule(t + delay, Ev::Agent(n, HtInput::ProbeSnoopDone(probe)));
                 }
                 HtEffect::SendResponse { to, resp } => {
-                    let d = self
-                        .net
-                        .unicast(t, me, to, CONTROL_BYTES, Channel::Response);
-                    self.stats.traffic.add_control(CONTROL_BYTES, d.hops);
-                    self.queue
-                        .schedule(d.arrival, Ev::Agent(to.0, HtInput::Response(resp)));
+                    self.send(t, n, to, Channel::Response, HtInput::Response(resp));
                 }
                 HtEffect::SendData { to, data } => {
-                    let d = self.net.unicast(t, me, to, DATA_BYTES, Channel::Data);
-                    self.stats.traffic.add_data(DATA_BYTES, d.hops);
-                    self.queue
-                        .schedule(d.arrival, Ev::Agent(to.0, HtInput::Data(data)));
+                    if !data.from_memory {
+                        self.registry.node_mut(n).supplies += 1;
+                    }
+                    self.send(t, n, to, Channel::Data, HtInput::Data(data));
                 }
                 HtEffect::MemFetch { line } => {
+                    self.registry.node_mut(n).mem_demand += 1;
                     let done = self.mem.request(t, line);
-                    self.queue.schedule(done, Ev::MemDone(n, line));
+                    self.schedule_mem_done(t, n, line, done);
                 }
                 HtEffect::SendDone { home, done } => {
-                    let d = self
-                        .net
-                        .unicast(t, me, home, CONTROL_BYTES, Channel::Response);
-                    self.stats.traffic.add_control(CONTROL_BYTES, d.hops);
-                    self.queue
-                        .schedule(d.arrival, Ev::Agent(home.0, HtInput::Done(done)));
+                    self.send(t, n, home, Channel::Response, HtInput::Done(done));
                 }
                 HtEffect::L1Invalidate { line } => {
-                    self.cores[n].l1_invalidate(line);
+                    self.nodes.core_mut(n).l1_invalidate(line);
                 }
                 HtEffect::Bound {
                     line,
@@ -357,51 +161,79 @@ impl HtMachine {
                     latency,
                     c2c,
                 } => {
+                    self.watchdog.progress(t);
                     if !write {
-                        let lat = (latency + self.cfg.l1.latency) as f64;
-                        self.stats.read_latency.record(lat);
-                        if c2c {
-                            self.stats.read_latency_c2c.record(lat);
-                            self.stats
-                                .c2c_histogram
-                                .record(latency + self.cfg.l1.latency);
-                            self.stats.reads_c2c += 1;
-                        } else {
-                            self.stats.read_latency_mem.record(lat);
-                            self.stats.reads_mem += 1;
-                        }
-                        if self.cores[n].read_done(line) {
+                        self.registry
+                            .node_mut(n)
+                            .record_read_bound(latency + self.cfg.l1.latency, c2c);
+                        if self.nodes.core_mut(n).read_done(line) {
                             self.queue.schedule(t, Ev::Resume(n));
                         }
                     }
                 }
                 HtEffect::Complete { line, write, c2c } => {
+                    self.watchdog.progress(t);
+                    if self.cfg.check_invariants {
+                        self.check_line_invariants(t, line);
+                    }
                     if write {
                         self.write_completed(t, n, line);
                     } else if c2c {
-                        self.stats.nopref_cache += 1;
+                        self.registry.node_mut(n).nopref_cache += 1;
                     } else {
-                        self.stats.nopref_mem += 1;
+                        self.registry.node_mut(n).nopref_mem += 1;
                     }
                 }
             }
         }
+    }
+
+    /// Sends `input` from node `n` to `to` over channel `ch`: a data
+    /// message on the data channel, a control message otherwise.
+    fn send(&mut self, t: Cycle, n: usize, to: NodeId, ch: Channel, input: HtInput) {
+        let bytes = if ch == Channel::Data {
+            DATA_BYTES
+        } else {
+            CONTROL_BYTES
+        };
+        let d = self.net.unicast(t, NodeId(n), to, bytes, ch);
+        if ch == Channel::Data {
+            self.stats.traffic.add_data(bytes, d.hops);
+        } else {
+            self.stats.traffic.add_control(bytes, d.hops);
+        }
+        self.queue.schedule(d.arrival, Ev::Agent(to.0, input));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::Report;
     use ring_coherence::ProtocolKind;
+    use ring_cpu::Op;
 
-    fn run_ht() -> (Report, HtMachine) {
+    fn tiny_profile() -> ring_workloads::AppProfile {
+        MachineConfig::default_workload()
+            .expect("default workload profile must exist")
+            .scaled(200)
+    }
+
+    fn cfg() -> MachineConfig {
         let mut cfg = MachineConfig::small_test(ProtocolKind::Eager);
         cfg.seed = 7;
-        let profile = MachineConfig::default_workload()
-            .expect("default workload profile must exist")
-            .scaled(200);
-        let mut m = HtMachine::new(cfg, &profile);
-        let r = m.run();
+        cfg
+    }
+
+    /// A run with the single-supplier check at every completion.
+    fn run_ht() -> (Report, HtMachine) {
+        let mut cfg = cfg();
+        cfg.check_invariants = true;
+        let mut m = HtMachine::new(cfg, &tiny_profile());
+        let r = match m.try_run() {
+            Ok(r) => r,
+            Err(stall) => panic!("HT machine stalled:\n{stall}"),
+        };
         (r, m)
     }
 
@@ -433,5 +265,45 @@ mod tests {
                 "line {raw} has multiple suppliers"
             );
         }
+    }
+
+    #[test]
+    fn ht_records_traced_lines() {
+        let line = LineAddr::new(0x77);
+        let mut cfg = cfg();
+        cfg.trace_lines = vec![line.raw()];
+        let streams: Vec<Box<dyn Iterator<Item = Op> + Send>> = (0..cfg.nodes())
+            .map(|n| {
+                let ops = match n {
+                    3 => vec![Op::Write(line), Op::Fence],
+                    9 => vec![Op::Read(line)],
+                    _ => vec![],
+                };
+                Box::new(ops.into_iter()) as Box<dyn Iterator<Item = Op> + Send>
+            })
+            .collect();
+        let mut m = HtMachine::with_streams(cfg, streams);
+        assert!(m.try_run().expect("no stall").finished);
+        assert!(
+            !m.line_trace(line).is_empty(),
+            "traced line must record events"
+        );
+        assert!(m.line_trace(LineAddr::new(0x78)).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "neither fault injection nor the reliability sublayer")]
+    fn ht_refuses_a_fault_plan() {
+        let mut cfg = cfg();
+        cfg.faults = Some(ring_noc::FaultPlan::new(ring_noc::FaultProfile::chaos(), 1));
+        let _ = HtMachine::new(cfg, &tiny_profile());
+    }
+
+    #[test]
+    #[should_panic(expected = "neither fault injection nor the reliability sublayer")]
+    fn ht_refuses_the_reliability_sublayer() {
+        let mut cfg = cfg();
+        cfg.reliability = ring_noc::ReliabilityConfig::on();
+        let _ = HtMachine::new(cfg, &tiny_profile());
     }
 }

@@ -1,15 +1,18 @@
 //! Full-machine assembly for the Uncorq reproduction: the 64-node CMP of
 //! the paper's Table 3.
 //!
-//! A [`Machine`] wires together, per node, a core model (`ring-cpu`), a
+//! A [`Sim`] wires together, per node, a core model (`ring-cpu`), a
 //! private L1 and L2 (`ring-cache`), and a protocol agent
 //! (`ring-coherence`), over a shared on-chip network (`ring-noc`) and
-//! memory system (`ring-mem`). The ring protocols (Eager, SupersetCon,
-//! SupersetAgg, Uncorq, Uncorq+Pref) run on [`Machine`]; the
-//! HyperTransport baseline runs on [`HtMachine`]. Both execute the same
-//! deterministic workload streams (`ring-workloads`), so protocol
-//! comparisons are apples-to-apples — "all algorithms use exactly the
-//! same network" (paper §6).
+//! memory system (`ring-mem`). It is generic over the agent, a
+//! [`NodeAgent`]: the ring protocols (Eager, SupersetCon, SupersetAgg,
+//! Uncorq, Uncorq+Pref) run on [`Machine`], the HyperTransport baseline
+//! on [`HtMachine`]. Both run one event loop — watchdog, stall reports,
+//! sliced runs, flight recorder, traces and invariant checks included —
+//! over the same deterministic workload streams (`ring-workloads`), so
+//! protocol comparisons are apples-to-apples: "all algorithms use
+//! exactly the same network" (paper §6). Checkpoints, the parallel
+//! engine, fault injection and the reliability sublayer are ring-only.
 //!
 //! # Examples
 //!
@@ -41,8 +44,7 @@ pub use checkpoint::{
     config_hash, list_checkpoints, prune_checkpoints, restore_latest, workload_fingerprint,
 };
 pub use config::{MachineConfig, MachineConfigError, DEFAULT_WORKLOAD};
-pub use ht_machine::HtMachine;
-pub use machine::{run_paper, Machine, RunProgress};
+pub use machine::{run_paper, HtMachine, Machine, NodeAgent, RunProgress, Sim};
 pub use ring_sim::pdes::Partition;
 pub use stall::{NodeStallState, RestoredFrom, StallCause, StallReport};
 pub use stats::{MachineStats, Report};

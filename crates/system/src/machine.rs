@@ -1,7 +1,13 @@
-//! The ring-protocol machine: event loop and effect execution.
+//! The machine: one event loop over a per-node protocol agent.
+//!
+//! [`Sim`] owns everything the protocols share — cores, caches, memory,
+//! network, event queue, watchdog, tracing, flight recorder and the
+//! report — and drives one [`NodeAgent`] per node. [`Machine`] runs the
+//! embedded-ring agents, [`HtMachine`] the HyperTransport baseline's.
 
-use ring_cache::LineAddr;
-use ring_coherence::{AgentInput, Effect, ProtocolKind, RingAgent, TxnId, TxnKind};
+use ring_cache::{CacheArray, LineAddr};
+use ring_coherence::ht::HtAgent;
+use ring_coherence::{AgentInput, ProtocolKind, RingAgent, TxnId, TxnKind};
 use ring_cpu::Core;
 use ring_mem::{ControllerPrefetchPredictor, MemoryController, PrefetchBuffer};
 use ring_noc::{
@@ -19,6 +25,7 @@ use ring_snapshot::{SnapReader, SnapWriter, SnapshotBuilder, SnapshotError, Snap
 
 use crate::checkpoint;
 use crate::config::MachineConfig;
+use crate::effects::Ctx;
 use crate::stall::{NodeStallState, ReliabilityStall, RestoredFrom, StallCause, StallReport};
 use crate::stats::{MachineStats, Report};
 
@@ -44,23 +51,6 @@ pub(crate) fn fault_class(kind: FaultKind) -> FaultClass {
     }
 }
 
-/// Transaction and line identity carried inside a reliably delivered
-/// protocol input, for trace attribution at the delivery boundary.
-pub(crate) fn input_ids(input: &AgentInput) -> (TxnId, u64) {
-    match input {
-        AgentInput::RingArrival(msg) => (msg.txn(), msg.line().raw()),
-        AgentInput::DirectRequest(req) => (req.txn, req.line.raw()),
-        AgentInput::Supplier(msg) => (msg.txn, msg.line.raw()),
-        _ => (
-            TxnId {
-                node: NodeId(0),
-                serial: 0,
-            },
-            0,
-        ),
-    }
-}
-
 /// Trace events kept for post-mortem stall reports.
 pub(crate) const RECENT_EVENTS: usize = 64;
 
@@ -74,13 +64,13 @@ pub(crate) struct AnatomyMark {
     pub(crate) bound: Option<Cycle>,
 }
 
-/// Machine-level events.
+/// Machine-level events; `I` is the agents' input type.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Ev {
+pub(crate) enum Ev<I> {
     /// Resume the core of a node.
     Resume(usize),
     /// Deliver a protocol input to a node's agent.
-    Agent(usize, AgentInput),
+    Agent(usize, I),
     /// A demand memory fetch completed for a node.
     MemDone(usize, LineAddr),
     /// A reliable-transport frame arrives at the far end of its route.
@@ -91,21 +81,89 @@ pub(crate) enum Ev {
     RelAck(FlowKey),
 }
 
-/// A 64-node (configurable) CMP running one of the embedded-ring
-/// protocols over a synthetic workload.
+/// The per-node protocol agent a [`Sim`] drives — the only part of the
+/// machine that differs between the ring protocols ([`RingAgent`]) and
+/// the HyperTransport baseline ([`HtAgent`]).
+///
+/// Events deliver [`NodeAgent::Input`]s; the agent answers with
+/// [`NodeAgent::Effect`]s, which [`NodeAgent::apply_effects`] carries
+/// out against the shared machine. The remaining methods are the
+/// agent's view for core scheduling, tracing, stall reports and the
+/// report roll-up.
+pub trait NodeAgent: Sized {
+    /// A protocol input an event delivers to an agent.
+    type Input: Copy + std::fmt::Debug + PartialEq;
+    /// An effect the agent asks the machine to carry out.
+    type Effect;
+    /// Whether this agent's effects model fault injection and the
+    /// reliability sublayer; a machine over an agent that does not
+    /// refuses a configuration asking for either.
+    const MODELS_FAULTS: bool;
+
+    /// The agent for `node` of a machine configured by `cfg`; `rng` is
+    /// the machine's root generator, for agents that fork their own.
+    fn build(node: NodeId, cfg: &MachineConfig, rng: &mut DetRng) -> Self;
+    /// Pre-installs one shared line at `owner`, plus whatever warm-up
+    /// the protocol's predictors need (the paper skips initialization).
+    fn warm_line(m: &mut Sim<Self>, line: LineAddr, owner: usize);
+    /// Handles one input at cycle `now`, appending its effects to `fx`.
+    fn handle_into(&mut self, now: Cycle, input: Self::Input, fx: &mut Vec<Self::Effect>);
+    /// Carries out, and drains, the effects node `n` asked for at `t`.
+    fn apply_effects(cx: &mut Ctx<'_, Self>, t: Cycle, n: usize, fx: &mut Vec<Self::Effect>);
+    /// The input delivering demand memory data for `line`.
+    fn mem_data(line: LineAddr) -> Self::Input;
+    /// The input a core's blocked read of `line` issues.
+    fn read_request(line: LineAddr) -> Self::Input;
+    /// The input a store to `line` issues, or `None` when the line is
+    /// writable silently.
+    fn write_request(&self, line: LineAddr) -> Option<Self::Input>;
+    /// The node's L2.
+    fn l2(&self) -> &CacheArray;
+    /// Whether an own transaction on `line` is outstanding.
+    fn has_outstanding(&self, line: LineAddr) -> bool;
+    /// Whether `line` has an outstanding or deferred own transaction.
+    fn is_line_engaged(&self, line: LineAddr) -> bool;
+    /// Switches structured event collection on or off.
+    fn set_tracing(&mut self, on: bool);
+    /// Takes the events collected since the last drain.
+    fn drain_trace(&mut self) -> Vec<TraceEvent>;
+    /// The agent's part of a stall report (the machine fills in the
+    /// node id and whether its core finished).
+    fn stall_state(&self) -> NodeStallState;
+    /// Adds the agents' counters to the report's statistics and installs
+    /// the link loads the protocol reports into `reg`, the registry the
+    /// report is rolled up from.
+    fn roll_up(m: &Sim<Self>, reg: &mut MetricsRegistry, stats: &mut MachineStats);
+    /// Transaction and line of a reliably delivered input, for trace
+    /// attribution (`None` for inputs that belong to neither, and for
+    /// agents without the reliability sublayer).
+    fn input_ids(_input: &Self::Input) -> Option<(TxnId, u64)> {
+        None
+    }
+    /// The checkpoint image of `m` at `cycle`, or `None` for agents
+    /// without a snapshot codec (which can never enable checkpoints).
+    fn snapshot(_m: &Sim<Self>, _cycle: Cycle) -> Option<SnapshotBuilder> {
+        None
+    }
+}
+
+/// A 64-node (configurable) CMP running one protocol agent per node
+/// over a synthetic workload. Every protocol runs on this one event
+/// loop, over the same cores, caches, memory and network — "all
+/// algorithms use exactly the same network" (paper §6).
 ///
 /// Construction wires every node with an identical, independently seeded
-/// workload stream; [`Machine::run`] executes to completion and returns a
+/// workload stream; [`Sim::run`] executes to completion and returns a
 /// [`Report`].
-pub struct Machine {
+pub struct Sim<A: NodeAgent> {
     pub(crate) cfg: MachineConfig,
-    pub(crate) queue: EventQueue<Ev>,
+    pub(crate) queue: EventQueue<Ev<A::Input>>,
     pub(crate) net: Network,
     /// Logical rings; one by default, two (opposite directions) when
     /// `dual_rings` is on. Lines map to rings by parity.
     pub(crate) rings: Vec<RingEmbedding>,
     pub(crate) cores: Vec<Core>,
-    pub(crate) agents: Vec<RingAgent>,
+    pub(crate) agents: Vec<A>,
     pub(crate) mem: MemoryController,
     pub(crate) cpp: ControllerPrefetchPredictor,
     pub(crate) pbufs: Vec<PrefetchBuffer>,
@@ -120,7 +178,7 @@ pub struct Machine {
     pub(crate) anatomy_marks: FxHashMap<(usize, u64), AnatomyMark>,
     /// Reusable effect buffer for agent handling (one allocation for
     /// the whole run instead of one per event).
-    pub(crate) fx_buf: Vec<Effect>,
+    pub(crate) fx_buf: Vec<A::Effect>,
     /// Reusable multicast delivery buffer.
     pub(crate) mc_buf: Vec<Delivery>,
     /// Per-line protocol event trace, kept only for lines selected by
@@ -137,9 +195,9 @@ pub struct Machine {
     /// Reliable-delivery sublayer (`None` when disabled — the send
     /// paths then run the exact pre-reliability code, so timing and RNG
     /// draw sequences are untouched).
-    pub(crate) rel: Option<ReliableTransport<AgentInput>>,
+    pub(crate) rel: Option<ReliableTransport<A::Input>>,
     /// Reusable action buffer for reliable-transport calls.
-    pub(crate) rel_buf: Vec<RelAction<AgentInput>>,
+    pub(crate) rel_buf: Vec<RelAction<A::Input>>,
     /// Reusable buffer for link outage transitions observed by the
     /// network.
     pub(crate) outage_buf: Vec<OutageEvent>,
@@ -164,7 +222,7 @@ pub struct Machine {
     /// (`None` for a machine built from scratch).
     pub(crate) restored_from: Option<(String, Cycle)>,
     /// Fingerprint of the workload profile the op streams were built
-    /// from; 0 for explicit streams ([`Machine::with_streams`]), whose
+    /// from; 0 for explicit streams ([`Sim::with_streams`]), whose
     /// snapshots cannot be restored (the streams are opaque).
     pub(crate) workload_fp: u64,
     /// Node→LP assignment for the parallel engine (`None` = contiguous
@@ -174,14 +232,22 @@ pub struct Machine {
     pub(crate) partition: Option<ring_sim::pdes::Partition>,
 }
 
+/// The embedded-ring protocols' machine: Eager, SupersetCon,
+/// SupersetAgg, Uncorq and Uncorq+Pref.
+pub type Machine = Sim<RingAgent>;
+
+/// The HyperTransport baseline's machine (paper §7.4), for the Figure 11
+/// comparison.
+pub type HtMachine = Sim<HtAgent>;
+
 /// Outcome of one bounded slice of the event loop
-/// ([`Machine::try_run_slice`]).
+/// ([`Sim::try_run_slice`]).
 #[derive(Debug)]
 pub enum RunProgress {
     /// The run completed (or hit the cycle cap): the final [`Report`].
     Done(Box<Report>),
     /// The event budget was exhausted with runnable events still
-    /// queued; call [`Machine::try_run_slice`] again to continue.
+    /// queued; call [`Sim::try_run_slice`] again to continue.
     Yielded {
         /// Events processed in this slice.
         events: u64,
@@ -193,7 +259,7 @@ pub enum RunProgress {
 /// Serializes one machine event. The tags are part of the snapshot
 /// schema: renumbering them requires a [`ring_snapshot::SCHEMA_VERSION`]
 /// bump.
-fn ev_save(w: &mut SnapWriter, ev: &Ev) {
+fn ev_save(w: &mut SnapWriter, ev: &Ev<AgentInput>) {
     match ev {
         Ev::Resume(n) => {
             w.put(&0u8);
@@ -226,7 +292,7 @@ fn ev_save(w: &mut SnapWriter, ev: &Ev) {
 
 /// Decodes one machine event, validating node indices against the
 /// machine size.
-fn ev_load(r: &mut SnapReader<'_>, nodes: usize) -> Result<Ev, SnapshotError> {
+fn ev_load(r: &mut SnapReader<'_>, nodes: usize) -> Result<Ev<AgentInput>, SnapshotError> {
     let node = |r: &mut SnapReader<'_>| -> Result<usize, SnapshotError> {
         let n = r.get::<u64>()? as usize;
         if n >= nodes {
@@ -251,7 +317,7 @@ fn ev_load(r: &mut SnapReader<'_>, nodes: usize) -> Result<Ev, SnapshotError> {
     })
 }
 
-impl Machine {
+impl<A: NodeAgent> Sim<A> {
     /// Builds a machine in which every core runs `profile`'s op stream,
     /// with the shared pools pre-warmed (the paper skips initialization).
     pub fn new(cfg: MachineConfig, profile: &AppProfile) -> Self {
@@ -266,16 +332,9 @@ impl Machine {
         m.workload_fp = checkpoint::workload_fingerprint(profile);
         // Warm the shared regions: pool lines interleave round-robin and
         // producer-consumer buffers start at their producing core, all in
-        // a supplier state; every node's prefetch predictor has seen the
-        // lines (they were coherence traffic during the skipped
-        // initialization).
+        // a supplier state.
         for (raw, owner) in profile.warm_lines(nodes) {
-            let line = LineAddr::new(raw);
-            m.agents[owner].install_line(line, ring_cache::LineState::Exclusive);
-            m.cpp.mark_fetched(line);
-            for agent in &mut m.agents {
-                agent.npp_observe(line);
-            }
+            A::warm_line(&mut m, LineAddr::new(raw), owner);
         }
         m
     }
@@ -285,7 +344,9 @@ impl Machine {
     ///
     /// # Panics
     ///
-    /// Panics if `streams.len() != cfg.nodes()`.
+    /// Panics if `streams.len() != cfg.nodes()`, if `cfg` is invalid, or
+    /// if it asks for fault injection or the reliability sublayer on an
+    /// agent that models neither ([`NodeAgent::MODELS_FAULTS`]).
     pub fn with_streams(
         cfg: MachineConfig,
         streams: Vec<Box<dyn Iterator<Item = ring_cpu::Op> + Send>>,
@@ -295,6 +356,13 @@ impl Machine {
         if let Err(e) = cfg.validate() {
             panic!("invalid machine config: {e}");
         }
+        // Recovery machinery the agents do not model would silently
+        // measure a clean run, so refuse it loudly.
+        assert!(
+            A::MODELS_FAULTS || (cfg.faults.is_none() && !cfg.reliability.enabled),
+            "this machine models neither fault injection nor the reliability sublayer; \
+             disable both for the HT baseline"
+        );
         let torus = Torus::new(cfg.width, cfg.height);
         let ring = if cfg.ring_row_major {
             RingEmbedding::row_major(&torus)
@@ -316,12 +384,7 @@ impl Machine {
         let mut pbufs = Vec::with_capacity(nodes);
         for (n, stream) in streams.into_iter().enumerate() {
             cores.push(Core::new(stream, cfg.l1, cfg.l2.latency, cfg.store_buffer));
-            agents.push(RingAgent::new(
-                NodeId(n),
-                cfg.protocol,
-                cfg.l2,
-                root_rng.fork(n as u64),
-            ));
+            agents.push(A::build(NodeId(n), &cfg, &mut root_rng));
             pbufs.push(PrefetchBuffer::new(32, cfg.prefetch_hold));
         }
         let cpp =
@@ -341,7 +404,7 @@ impl Machine {
             .reliability
             .enabled
             .then(|| ReliableTransport::new(cfg.reliability, cfg.seed ^ 0x0AC4));
-        Machine {
+        Sim {
             rel,
             mem: MemoryController::new(cfg.mem),
             cpp,
@@ -379,8 +442,8 @@ impl Machine {
 
     /// Builds the effect-execution context the serial engine commits
     /// events through (exclusive access to every shard).
-    pub(crate) fn ctx(&mut self) -> crate::effects::Ctx<'_> {
-        crate::effects::Ctx {
+    pub(crate) fn ctx(&mut self) -> Ctx<'_, A> {
+        Ctx {
             cfg: &self.cfg,
             queue: &mut self.queue,
             net: &mut self.net,
@@ -429,6 +492,415 @@ impl Machine {
         self.flight.as_mut()
     }
 
+    /// Applies the retention bound to `dir` (no-op when unbounded).
+    fn prune_checkpoints(&self, dir: &std::path::Path) {
+        if self.ckpt_keep > 0 {
+            checkpoint::prune_checkpoints(dir, self.ckpt_keep);
+        }
+    }
+
+    /// Writes a checkpoint if the next pending event crosses the
+    /// checkpoint boundary (and is still under the run's cycle cap),
+    /// then advances the boundary. Called between events, so the
+    /// snapshot captures a consistent machine with the queue intact.
+    pub(crate) fn maybe_checkpoint(&mut self, cap: Cycle) {
+        let every = self.ckpt_every;
+        if every == 0 {
+            return;
+        }
+        let Some(pt) = self.queue.peek_time() else {
+            return;
+        };
+        if pt < self.next_ckpt || pt >= cap {
+            return;
+        }
+        let Some(image) = A::snapshot(self, pt) else {
+            return;
+        };
+        let path = self.ckpt_dir.join(format!("ckpt-{pt:012}.ringsnap"));
+        match image.write_atomic(&path) {
+            // Prune only after a *successful* atomic write: a failed
+            // write must never shrink the set of restore candidates.
+            Ok(()) => self.prune_checkpoints(&self.ckpt_dir),
+            Err(e) => eprintln!("checkpoint at cycle {pt} failed: {e}"),
+        }
+        self.next_ckpt = (pt / every + 1) * every;
+    }
+
+    /// Installs a structured trace sink: from now on every protocol
+    /// trace event (all lines, all nodes) is recorded into it in
+    /// chronological order. Enables agent-side event collection.
+    pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
+        self.sink = Some(sink);
+        self.trace_enabled = true;
+        for a in &mut self.agents {
+            a.set_tracing(true);
+        }
+    }
+
+    /// The per-node/per-link metrics registry accumulated so far (link
+    /// loads are only installed at [`Sim::report`] time).
+    pub fn metrics(&self) -> &MetricsRegistry {
+        &self.registry
+    }
+
+    /// Runs to completion (or the configured cycle cap) and reports.
+    /// The machine can be inspected afterwards (e.g. cache states, agent
+    /// counters).
+    ///
+    /// Forward-progress failures (see [`Sim::try_run`]) print their
+    /// [`StallReport`] to stderr and yield a report with
+    /// `finished = false`.
+    pub fn run(&mut self) -> Report {
+        match self.try_run() {
+            Ok(r) => r,
+            Err(stall) => {
+                eprintln!("{stall}");
+                self.report()
+            }
+        }
+    }
+
+    /// Runs to completion (or the configured cycle cap), terminating
+    /// with a structured [`StallReport`] when the forward-progress
+    /// watchdog expires ([`MachineConfig::watchdog_cycles`] without a
+    /// completion, binding, or core step) or the event queue drains
+    /// while cores are still unfinished (a protocol deadlock: nothing
+    /// scheduled can ever unblock them).
+    ///
+    /// Hitting the `max_cycles` cap is not a stall: like before, the run
+    /// stops and reports with `finished = false`.
+    pub fn try_run(&mut self) -> Result<Report, Box<StallReport>> {
+        match self.try_run_slice(u64::MAX)? {
+            RunProgress::Done(r) => Ok(*r),
+            RunProgress::Yielded { .. } => {
+                // A u64::MAX event budget cannot be exhausted before the
+                // queue drains or the cap is reached.
+                unreachable!("unbounded slice yielded")
+            }
+        }
+    }
+
+    /// Runs at most `max_events` events, then yields — the pausable/
+    /// steppable hook the `ringd` daemon's session workers are built
+    /// on. Event processing is *identical* to [`Sim::try_run`]
+    /// (same checkpoint probes, flight windows, watchdog checks, and
+    /// dispatch); slicing changes only where control returns to the
+    /// caller, so a run driven in slices of any size produces
+    /// byte-identical reports, traces, and checkpoints to one
+    /// uninterrupted [`Sim::try_run`].
+    ///
+    /// Returns [`RunProgress::Yielded`] when the budget was exhausted
+    /// with runnable events still queued (the trace sink is flushed at
+    /// each yield so live subscribers observe progress), or
+    /// [`RunProgress::Done`] once the run completes or reaches the
+    /// cycle cap.
+    ///
+    /// # Errors
+    ///
+    /// Terminates with a [`StallReport`] exactly like
+    /// [`Sim::try_run`]: watchdog expiry or a drained queue with
+    /// unfinished cores.
+    pub fn try_run_slice(&mut self, max_events: u64) -> Result<RunProgress, Box<StallReport>> {
+        let cap = if self.cfg.max_cycles == 0 {
+            Cycle::MAX
+        } else {
+            self.cfg.max_cycles
+        };
+        let mut budget = max_events;
+        // `pop_before` leaves the first event past the cap *in* the
+        // queue (the old pop-then-check discarded it, losing an event
+        // and advancing the clock past the cap). The checkpoint probe
+        // runs *before* the pop so a snapshot always lands on an event
+        // boundary with the queue fully intact.
+        while let Some((t, ev)) = {
+            if budget == 0 {
+                None
+            } else {
+                if self
+                    .queue
+                    .peek_time()
+                    .is_some_and(|pt| pt >= self.next_ckpt)
+                {
+                    self.maybe_checkpoint(cap);
+                }
+                self.queue.pop_before(cap)
+            }
+        } {
+            budget -= 1;
+            if t >= self.next_window {
+                self.flight_sample(t);
+            }
+            if self.watchdog.expired(t) {
+                if let Some(s) = self.sink.as_mut() {
+                    let _ = s.flush();
+                }
+                return Err(Box::new(self.stall_report(StallCause::WatchdogExpired, t)));
+            }
+            // Reuse one effect buffer across all events; `apply_effects`
+            // drains it and never re-enters `handle`, so taking the
+            // buffer out of `self` is safe.
+            let mut fx = std::mem::take(&mut self.fx_buf);
+            self.ctx().dispatch(t, ev, &mut fx);
+            self.fx_buf = fx;
+        }
+        if budget == 0 && self.queue.peek_time().is_some_and(|pt| pt < cap) {
+            // Budget exhausted with runnable work left: yield without
+            // running the end-of-run epilogue. Flushing the sink is
+            // observable on the trace *file/stream* only, never in
+            // simulated state.
+            if let Some(s) = self.sink.as_mut() {
+                let _ = s.flush();
+            }
+            return Ok(RunProgress::Yielded {
+                events: max_events,
+                cycle: self.queue.now(),
+            });
+        }
+        let capped = !self.queue.is_empty();
+        if self.flight.is_some() {
+            // Close the final (usually partial) window and flush the
+            // spill so post-run readers see every snapshot.
+            self.flight_sample(self.queue.now());
+            if let Some(f) = self.flight.as_mut() {
+                let _ = f.flush();
+            }
+        }
+        if let Some(s) = self.sink.as_mut() {
+            let _ = s.flush();
+        }
+        let report = self.report();
+        if !capped && !report.finished {
+            let now = self.queue.now();
+            return Err(Box::new(self.stall_report(StallCause::QueueDrained, now)));
+        }
+        Ok(RunProgress::Done(Box::new(report)))
+    }
+
+    /// Probes machine state and folds it into the flight recorder,
+    /// advancing the next window boundary past `t`. No-op without a
+    /// recorder.
+    pub(crate) fn flight_sample(&mut self, t: Cycle) {
+        let interval = match &self.flight {
+            Some(f) => f.interval(),
+            None => return,
+        };
+        let probe = self.flight_probe(t);
+        if let Some(f) = self.flight.as_mut() {
+            f.record(probe);
+        }
+        self.next_window = (t / interval + 1) * interval;
+    }
+
+    /// Assembles a cumulative [`FlightProbe`] of the machine at `t`.
+    fn flight_probe(&self, t: Cycle) -> FlightProbe {
+        let nodes = self.agents.len();
+        let mut node_activity = Vec::with_capacity(nodes);
+        let mut node_ltt = Vec::with_capacity(nodes);
+        let mut node_outstanding = Vec::with_capacity(nodes);
+        let mut retries = 0u64;
+        for (n, a) in self.agents.iter().enumerate() {
+            let m = &self.registry.nodes()[n];
+            let s = a.stall_state();
+            node_activity.push(
+                m.requests
+                    + m.retries
+                    + m.supplies
+                    + m.mem_demand
+                    + m.mem_prefetch
+                    + m.prefetch_hits
+                    + m.writebacks,
+            );
+            retries += m.retries;
+            node_ltt.push(s.ltt_occupancy as u32);
+            node_outstanding.push(s.outstanding as u32);
+        }
+        let (rel_unacked, rel_queued, retransmits) = match &self.rel {
+            Some(rel) => {
+                let s = rel.snapshot();
+                (s.unacked_frames, s.queued_frames, s.retransmits)
+            }
+            None => (0, 0, 0),
+        };
+        let traffic = self.net.link_traffic();
+        FlightProbe {
+            cycle: t,
+            events: self.queue.events_processed(),
+            queue_depth: self.queue.len(),
+            queue_buckets: self.queue.bucket_len(),
+            queue_heap: self.queue.heap_len(),
+            rel_unacked,
+            rel_queued,
+            retransmits,
+            retries,
+            node_activity,
+            node_ltt,
+            node_outstanding,
+            link_messages: traffic.iter().map(|l| l.messages).collect(),
+            link_bytes: traffic.iter().map(|l| l.bytes).collect(),
+        }
+    }
+
+    /// Per-node forward-progress state (LTT/MSHR occupancy, pending
+    /// core operations, lines being retried or starving) — the raw
+    /// material for stall reports and for `ringprof`'s stall
+    /// attribution.
+    pub fn node_stall_states(&self) -> Vec<NodeStallState> {
+        self.agents
+            .iter()
+            .enumerate()
+            .map(|(n, a)| NodeStallState {
+                node: n as u32,
+                finished: self.finish_time[n].is_some(),
+                ..a.stall_state()
+            })
+            .collect()
+    }
+
+    /// Snapshots the machine for a forward-progress failure at `now`.
+    pub(crate) fn stall_report(&self, cause: StallCause, now: Cycle) -> StallReport {
+        let nodes = self.node_stall_states();
+        let reliability = self.rel.as_ref().map(|rel| {
+            let fs = self.net.fault_stats();
+            ReliabilityStall {
+                transport: rel.snapshot(),
+                drops: fs.drops,
+                outage_drops: fs.outage_drops,
+                link_drops: self
+                    .net
+                    .link_drops()
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &d)| d > 0)
+                    .map(|(l, &d)| (l as u32, d))
+                    .collect(),
+            }
+        });
+        StallReport {
+            cause,
+            detected_at: now,
+            last_progress: self.watchdog.last_progress(),
+            last_net_progress: self.watchdog.last_net_progress(),
+            threshold: self.watchdog.threshold(),
+            reliability,
+            unfinished_nodes: self
+                .finish_time
+                .iter()
+                .enumerate()
+                .filter(|(_, f)| f.is_none())
+                .map(|(n, _)| n as u32)
+                .collect(),
+            completed_transactions: self.report().stats.transactions,
+            nodes,
+            recent_events: self.recent.iter().cloned().collect(),
+            restored_from: self
+                .restored_from
+                .as_ref()
+                .map(|(path, cycle)| RestoredFrom {
+                    path: path.clone(),
+                    cycle: *cycle,
+                }),
+        }
+    }
+
+    /// Reliable-transport counters (`None` when the sublayer is
+    /// disabled).
+    pub fn reliability_stats(&self) -> Option<&ring_noc::RelStats> {
+        self.rel.as_ref().map(|r| r.stats())
+    }
+
+    /// Whether the reliable transport has fully drained (no unacked or
+    /// queued frames). Trivially true when the sublayer is disabled.
+    pub fn reliability_idle(&self) -> bool {
+        self.rel.as_ref().is_none_or(|r| r.idle())
+    }
+
+    /// Builds the report for the run so far without consuming the
+    /// machine.
+    pub fn report(&self) -> Report {
+        let finished = self.finish_time.iter().all(Option::is_some);
+        let exec_cycles = self
+            .finish_time
+            .iter()
+            .map(|f| f.unwrap_or(self.queue.now()))
+            .max()
+            .unwrap_or(0);
+        let mut stats = self.stats.clone();
+        // Roll the per-node/per-link registry up into the machine stats.
+        let mut reg = self.registry.clone();
+        A::roll_up(self, &mut reg, &mut stats);
+        stats.read_latency = reg.merged(|m| &m.read_latency);
+        stats.read_latency_c2c = reg.merged(|m| &m.read_latency_c2c);
+        stats.read_latency_mem = reg.merged(|m| &m.read_latency_mem);
+        stats.read_completion = reg.merged(|m| &m.read_completion);
+        if let Some(h) = reg.merged_c2c_histogram() {
+            stats.c2c_histogram = h;
+        }
+        stats.reads_c2c = reg.total(|m| m.reads_c2c);
+        stats.reads_mem = reg.total(|m| m.reads_mem);
+        stats.pref_cache = reg.total(|m| m.pref_cache);
+        stats.nopref_cache = reg.total(|m| m.nopref_cache);
+        stats.nopref_mem = reg.total(|m| m.nopref_mem);
+        stats.pref_mem = reg.total(|m| m.pref_mem);
+        stats.anat_delivery = reg.anatomy.delivery;
+        stats.anat_transfer = reg.anatomy.transfer;
+        stats.anat_response = reg.anatomy.response;
+        stats.phase_delivery = reg.anatomy.delivery_hist.clone();
+        stats.phase_transfer = reg.anatomy.transfer_hist.clone();
+        stats.phase_response = reg.anatomy.response_hist.clone();
+        stats.class_latency = reg.classes.clone();
+        stats.link_msgs = reg.link_message_summary();
+        for core in &self.cores {
+            stats.ops_retired += core.stats().retired;
+        }
+        stats.events = self.queue.events_processed();
+        Report {
+            exec_cycles,
+            finished,
+            stats,
+        }
+    }
+
+    /// Read access to the per-node protocol agents (post-run inspection).
+    pub fn agents(&self) -> &[A] {
+        &self.agents
+    }
+
+    /// Counts the nodes currently holding `line` in a supplier state —
+    /// the single-supplier invariant requires this to be at most 1 in
+    /// quiescence.
+    pub fn supplier_count(&self, line: LineAddr) -> usize {
+        self.agents
+            .iter()
+            .filter(|a| a.l2().state(line).is_supplier())
+            .count()
+    }
+
+    /// The recorded protocol event trace for `line`, in chronological
+    /// order (request issue/forwarding, snoops, LTT activity, response
+    /// forwarding with its marks, suppliership transfers, memory
+    /// fetches, retries, and completions). The events render the legacy
+    /// human-readable lines through their `Display` impl. Empty unless
+    /// the line was traced via [`MachineConfig::check_invariants`] or
+    /// [`MachineConfig::trace_lines`].
+    pub fn line_trace(&self, line: LineAddr) -> &[TraceEvent] {
+        self.trace.get(&line).map(Vec::as_slice).unwrap_or(&[])
+    }
+
+    /// Peak number of simultaneously pending events observed so far —
+    /// the event-queue working set (reported by the bench sweep).
+    pub fn queue_peak(&self) -> usize {
+        self.queue.peak_len()
+    }
+
+    /// Fault-injection statistics accumulated by the network layer's
+    /// injector (all zeros when faults are off).
+    pub fn fault_stats(&self) -> ring_noc::FaultStats {
+        self.net.fault_stats()
+    }
+}
+
+impl Machine {
     /// Enables periodic checkpointing: approximately every `every`
     /// cycles (at the first event boundary on or after each multiple)
     /// the machine writes an integrity-verified snapshot into `dir` as
@@ -479,42 +951,10 @@ impl Machine {
         Ok(path)
     }
 
-    /// Applies the retention bound to `dir` (no-op when unbounded).
-    fn prune_checkpoints(&self, dir: &std::path::Path) {
-        if self.ckpt_keep > 0 {
-            checkpoint::prune_checkpoints(dir, self.ckpt_keep);
-        }
-    }
-
     /// Provenance of the checkpoint this machine was restored from:
     /// `(path, cycle)`, or `None` for a machine built from scratch.
     pub fn restored_from(&self) -> Option<(&str, Cycle)> {
         self.restored_from.as_ref().map(|(p, c)| (p.as_str(), *c))
-    }
-
-    /// Writes a checkpoint if the next pending event crosses the
-    /// checkpoint boundary (and is still under the run's cycle cap),
-    /// then advances the boundary. Called between events, so the
-    /// snapshot captures a consistent machine with the queue intact.
-    pub(crate) fn maybe_checkpoint(&mut self, cap: Cycle) {
-        let every = self.ckpt_every;
-        if every == 0 {
-            return;
-        }
-        let Some(pt) = self.queue.peek_time() else {
-            return;
-        };
-        if pt < self.next_ckpt || pt >= cap {
-            return;
-        }
-        let path = self.ckpt_dir.join(format!("ckpt-{pt:012}.ringsnap"));
-        match self.snapshot_at(pt).write_atomic(&path) {
-            // Prune only after a *successful* atomic write: a failed
-            // write must never shrink the set of restore candidates.
-            Ok(()) => self.prune_checkpoints(&self.ckpt_dir),
-            Err(e) => eprintln!("checkpoint at cycle {pt} failed: {e}"),
-        }
-        self.next_ckpt = (pt / every + 1) * every;
     }
 
     /// Serializes the complete machine state into a snapshot builder.
@@ -837,23 +1277,6 @@ impl Machine {
         Ok(m)
     }
 
-    /// Installs a structured trace sink: from now on every protocol
-    /// trace event (all lines, all nodes) is recorded into it in
-    /// chronological order. Enables agent-side event collection.
-    pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.sink = Some(sink);
-        self.trace_enabled = true;
-        for a in &mut self.agents {
-            a.set_tracing(true);
-        }
-    }
-
-    /// The per-node/per-link metrics registry accumulated so far (link
-    /// loads are only installed at [`Machine::report`] time).
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-
     /// Pre-installs a line at a node in the given state (warm-up for
     /// directed experiments).
     pub fn warm_line(&mut self, node: NodeId, line: LineAddr, state: ring_cache::LineState) {
@@ -861,299 +1284,93 @@ impl Machine {
         self.cpp.mark_fetched(line);
     }
 
-    /// Runs to completion (or the configured cycle cap) and reports.
-    /// The machine can be inspected afterwards (e.g. cache states, agent
-    /// counters).
-    ///
-    /// Forward-progress failures (see [`Machine::try_run`]) print their
-    /// [`StallReport`] to stderr and yield a report with
-    /// `finished = false`.
-    pub fn run(&mut self) -> Report {
-        match self.try_run() {
-            Ok(r) => r,
-            Err(stall) => {
-                eprintln!("{stall}");
-                self.report()
-            }
+    /// Read access to the protocol kind this machine runs.
+    pub fn protocol(&self) -> ProtocolKind {
+        self.cfg.protocol.kind
+    }
+}
+
+impl NodeAgent for RingAgent {
+    type Input = AgentInput;
+    type Effect = ring_coherence::Effect;
+    const MODELS_FAULTS: bool = true;
+
+    fn build(node: NodeId, cfg: &MachineConfig, rng: &mut DetRng) -> Self {
+        RingAgent::new(node, cfg.protocol, cfg.l2, rng.fork(node.0 as u64))
+    }
+
+    fn warm_line(m: &mut Machine, line: LineAddr, owner: usize) {
+        // Every node's prefetch predictor has seen the warm lines: they
+        // were coherence traffic during the skipped initialization.
+        m.agents[owner].install_line(line, ring_cache::LineState::Exclusive);
+        m.cpp.mark_fetched(line);
+        for agent in &mut m.agents {
+            agent.npp_observe(line);
         }
     }
 
-    /// Runs to completion (or the configured cycle cap), terminating
-    /// with a structured [`StallReport`] when the forward-progress
-    /// watchdog expires ([`MachineConfig::watchdog_cycles`] without a
-    /// completion, binding, or core step) or the event queue drains
-    /// while cores are still unfinished (a protocol deadlock: nothing
-    /// scheduled can ever unblock them).
-    ///
-    /// Hitting the `max_cycles` cap is not a stall: like before, the run
-    /// stops and reports with `finished = false`.
-    pub fn try_run(&mut self) -> Result<Report, Box<StallReport>> {
-        match self.try_run_slice(u64::MAX)? {
-            RunProgress::Done(r) => Ok(*r),
-            RunProgress::Yielded { .. } => {
-                // A u64::MAX event budget cannot be exhausted before the
-                // queue drains or the cap is reached.
-                unreachable!("unbounded slice yielded")
-            }
+    fn handle_into(&mut self, now: Cycle, input: AgentInput, fx: &mut Vec<Self::Effect>) {
+        RingAgent::handle_into(self, now, input, fx);
+    }
+
+    fn apply_effects(cx: &mut Ctx<'_, Self>, t: Cycle, n: usize, fx: &mut Vec<Self::Effect>) {
+        cx.apply_effects(t, n, fx);
+    }
+
+    fn mem_data(line: LineAddr) -> AgentInput {
+        AgentInput::MemData { line }
+    }
+
+    fn read_request(line: LineAddr) -> AgentInput {
+        AgentInput::CoreRequest {
+            line,
+            kind: TxnKind::Read,
         }
     }
 
-    /// Runs at most `max_events` events, then yields — the pausable/
-    /// steppable hook the `ringd` daemon's session workers are built
-    /// on. Event processing is *identical* to [`Machine::try_run`]
-    /// (same checkpoint probes, flight windows, watchdog checks, and
-    /// dispatch); slicing changes only where control returns to the
-    /// caller, so a run driven in slices of any size produces
-    /// byte-identical reports, traces, and checkpoints to one
-    /// uninterrupted [`Machine::try_run`].
-    ///
-    /// Returns [`RunProgress::Yielded`] when the budget was exhausted
-    /// with runnable events still queued (the trace sink is flushed at
-    /// each yield so live subscribers observe progress), or
-    /// [`RunProgress::Done`] once the run completes or reaches the
-    /// cycle cap.
-    ///
-    /// # Errors
-    ///
-    /// Terminates with a [`StallReport`] exactly like
-    /// [`Machine::try_run`]: watchdog expiry or a drained queue with
-    /// unfinished cores.
-    pub fn try_run_slice(&mut self, max_events: u64) -> Result<RunProgress, Box<StallReport>> {
-        let cap = if self.cfg.max_cycles == 0 {
-            Cycle::MAX
-        } else {
-            self.cfg.max_cycles
-        };
-        let mut budget = max_events;
-        // `pop_before` leaves the first event past the cap *in* the
-        // queue (the old pop-then-check discarded it, losing an event
-        // and advancing the clock past the cap). The checkpoint probe
-        // runs *before* the pop so a snapshot always lands on an event
-        // boundary with the queue fully intact.
-        while let Some((t, ev)) = {
-            if budget == 0 {
-                None
-            } else {
-                if self
-                    .queue
-                    .peek_time()
-                    .is_some_and(|pt| pt >= self.next_ckpt)
-                {
-                    self.maybe_checkpoint(cap);
-                }
-                self.queue.pop_before(cap)
-            }
-        } {
-            budget -= 1;
-            if t >= self.next_window {
-                self.flight_sample(t);
-            }
-            if self.watchdog.expired(t) {
-                if let Some(s) = self.sink.as_mut() {
-                    let _ = s.flush();
-                }
-                return Err(Box::new(self.stall_report(StallCause::WatchdogExpired, t)));
-            }
-            // Reuse one effect buffer across all events; `apply_effects`
-            // drains it and never re-enters `handle`, so taking the
-            // buffer out of `self` is safe.
-            let mut fx = std::mem::take(&mut self.fx_buf);
-            self.ctx().dispatch(t, ev, &mut fx);
-            self.fx_buf = fx;
-        }
-        if budget == 0 && self.queue.peek_time().is_some_and(|pt| pt < cap) {
-            // Budget exhausted with runnable work left: yield without
-            // running the end-of-run epilogue. Flushing the sink is
-            // observable on the trace *file/stream* only, never in
-            // simulated state.
-            if let Some(s) = self.sink.as_mut() {
-                let _ = s.flush();
-            }
-            return Ok(RunProgress::Yielded {
-                events: max_events,
-                cycle: self.queue.now(),
-            });
-        }
-        let capped = !self.queue.is_empty();
-        if self.flight.is_some() {
-            // Close the final (usually partial) window and flush the
-            // spill so post-run readers see every snapshot.
-            self.flight_sample(self.queue.now());
-            if let Some(f) = self.flight.as_mut() {
-                let _ = f.flush();
-            }
-        }
-        if let Some(s) = self.sink.as_mut() {
-            let _ = s.flush();
-        }
-        let report = self.report();
-        if !capped && !report.finished {
-            let now = self.queue.now();
-            return Err(Box::new(self.stall_report(StallCause::QueueDrained, now)));
-        }
-        Ok(RunProgress::Done(Box::new(report)))
+    fn write_request(&self, line: LineAddr) -> Option<AgentInput> {
+        self.classify_store(line)
+            .map(|kind| AgentInput::CoreRequest { line, kind })
     }
 
-    /// Probes machine state and folds it into the flight recorder,
-    /// advancing the next window boundary past `t`. No-op without a
-    /// recorder.
-    pub(crate) fn flight_sample(&mut self, t: Cycle) {
-        let interval = match &self.flight {
-            Some(f) => f.interval(),
-            None => return,
-        };
-        let probe = self.flight_probe(t);
-        if let Some(f) = self.flight.as_mut() {
-            f.record(probe);
-        }
-        self.next_window = (t / interval + 1) * interval;
+    fn l2(&self) -> &CacheArray {
+        RingAgent::l2(self)
     }
 
-    /// Assembles a cumulative [`FlightProbe`] of the machine at `t`.
-    fn flight_probe(&self, t: Cycle) -> FlightProbe {
-        let nodes = self.agents.len();
-        let mut node_activity = Vec::with_capacity(nodes);
-        let mut node_ltt = Vec::with_capacity(nodes);
-        let mut node_outstanding = Vec::with_capacity(nodes);
-        let mut retries = 0u64;
-        for (n, a) in self.agents.iter().enumerate() {
-            let m = &self.registry.nodes()[n];
-            node_activity.push(
-                m.requests
-                    + m.retries
-                    + m.supplies
-                    + m.mem_demand
-                    + m.mem_prefetch
-                    + m.prefetch_hits
-                    + m.writebacks,
-            );
-            retries += m.retries;
-            node_ltt.push(a.ltt().len() as u32);
-            node_outstanding.push(a.outstanding_count() as u32);
-        }
-        let (rel_unacked, rel_queued, retransmits) = match &self.rel {
-            Some(rel) => {
-                let s = rel.snapshot();
-                (s.unacked_frames, s.queued_frames, s.retransmits)
-            }
-            None => (0, 0, 0),
-        };
-        let traffic = self.net.link_traffic();
-        FlightProbe {
-            cycle: t,
-            events: self.queue.events_processed(),
-            queue_depth: self.queue.len(),
-            queue_buckets: self.queue.bucket_len(),
-            queue_heap: self.queue.heap_len(),
-            rel_unacked,
-            rel_queued,
-            retransmits,
-            retries,
-            node_activity,
-            node_ltt,
-            node_outstanding,
-            link_messages: traffic.iter().map(|l| l.messages).collect(),
-            link_bytes: traffic.iter().map(|l| l.bytes).collect(),
-        }
+    fn has_outstanding(&self, line: LineAddr) -> bool {
+        RingAgent::has_outstanding(self, line)
     }
 
-    /// Per-node forward-progress state (LTT/MSHR occupancy, pending
-    /// core operations, lines being retried or starving) — the raw
-    /// material for stall reports and for `ringprof`'s stall
-    /// attribution.
-    pub fn node_stall_states(&self) -> Vec<NodeStallState> {
-        self.agents
-            .iter()
-            .enumerate()
-            .map(|(n, a)| NodeStallState {
-                node: n as u32,
-                finished: self.finish_time[n].is_some(),
-                ltt_occupancy: a.ltt().len(),
-                outstanding: a.outstanding_count(),
-                pending_core: a.pending_core_len(),
-                retrying: a
-                    .retry_lines()
-                    .into_iter()
-                    .map(|(l, c)| (l.raw(), c))
-                    .collect(),
-                starving_on: a.starving_line().map(|l| l.raw()),
-            })
-            .collect()
+    fn is_line_engaged(&self, line: LineAddr) -> bool {
+        RingAgent::is_line_engaged(self, line)
     }
 
-    /// Snapshots the machine for a forward-progress failure at `now`.
-    pub(crate) fn stall_report(&self, cause: StallCause, now: Cycle) -> StallReport {
-        let nodes = self.node_stall_states();
-        let reliability = self.rel.as_ref().map(|rel| {
-            let fs = self.net.fault_stats();
-            ReliabilityStall {
-                transport: rel.snapshot(),
-                drops: fs.drops,
-                outage_drops: fs.outage_drops,
-                link_drops: self
-                    .net
-                    .link_drops()
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &d)| d > 0)
-                    .map(|(l, &d)| (l as u32, d))
-                    .collect(),
-            }
-        });
-        StallReport {
-            cause,
-            detected_at: now,
-            last_progress: self.watchdog.last_progress(),
-            last_net_progress: self.watchdog.last_net_progress(),
-            threshold: self.watchdog.threshold(),
-            reliability,
-            unfinished_nodes: self
-                .finish_time
-                .iter()
-                .enumerate()
-                .filter(|(_, f)| f.is_none())
-                .map(|(n, _)| n as u32)
+    fn set_tracing(&mut self, on: bool) {
+        RingAgent::set_tracing(self, on);
+    }
+
+    fn drain_trace(&mut self) -> Vec<TraceEvent> {
+        RingAgent::drain_trace(self)
+    }
+
+    fn stall_state(&self) -> NodeStallState {
+        NodeStallState {
+            ltt_occupancy: self.ltt().len(),
+            outstanding: self.outstanding_count(),
+            pending_core: self.pending_core_len(),
+            retrying: self
+                .retry_lines()
+                .into_iter()
+                .map(|(l, c)| (l.raw(), c))
                 .collect(),
-            completed_transactions: self.agents.iter().map(|a| a.stats().completed).sum(),
-            nodes,
-            recent_events: self.recent.iter().cloned().collect(),
-            restored_from: self
-                .restored_from
-                .as_ref()
-                .map(|(path, cycle)| RestoredFrom {
-                    path: path.clone(),
-                    cycle: *cycle,
-                }),
+            starving_on: self.starving_line().map(|l| l.raw()),
+            ..NodeStallState::default()
         }
     }
 
-    /// Reliable-transport counters (`None` when the sublayer is
-    /// disabled).
-    pub fn reliability_stats(&self) -> Option<&ring_noc::RelStats> {
-        self.rel.as_ref().map(|r| r.stats())
-    }
-
-    /// Whether the reliable transport has fully drained (no unacked or
-    /// queued frames). Trivially true when the sublayer is disabled.
-    pub fn reliability_idle(&self) -> bool {
-        self.rel.as_ref().is_none_or(|r| r.idle())
-    }
-
-    /// Builds the report for the run so far without consuming the
-    /// machine.
-    pub fn report(&self) -> Report {
-        let finished = self.finish_time.iter().all(Option::is_some);
-        let exec_cycles = self
-            .finish_time
-            .iter()
-            .map(|f| f.unwrap_or(self.queue.now()))
-            .max()
-            .unwrap_or(0);
-        let mut stats = self.stats.clone();
-        // Roll the per-node/per-link registry up into the machine stats.
-        let mut reg = self.registry.clone();
+    fn roll_up(m: &Machine, reg: &mut MetricsRegistry, stats: &mut MachineStats) {
         reg.set_link_loads(
-            self.net
+            m.net
                 .link_traffic()
                 .iter()
                 .map(|l| LinkMetrics {
@@ -1162,31 +1379,7 @@ impl Machine {
                 })
                 .collect(),
         );
-        stats.read_latency = reg.merged(|m| &m.read_latency);
-        stats.read_latency_c2c = reg.merged(|m| &m.read_latency_c2c);
-        stats.read_latency_mem = reg.merged(|m| &m.read_latency_mem);
-        stats.read_completion = reg.merged(|m| &m.read_completion);
-        if let Some(h) = reg.merged_c2c_histogram() {
-            stats.c2c_histogram = h;
-        }
-        stats.reads_c2c = reg.total(|m| m.reads_c2c);
-        stats.reads_mem = reg.total(|m| m.reads_mem);
-        stats.pref_cache = reg.total(|m| m.pref_cache);
-        stats.nopref_cache = reg.total(|m| m.nopref_cache);
-        stats.nopref_mem = reg.total(|m| m.nopref_mem);
-        stats.pref_mem = reg.total(|m| m.pref_mem);
-        stats.anat_delivery = reg.anatomy.delivery;
-        stats.anat_transfer = reg.anatomy.transfer;
-        stats.anat_response = reg.anatomy.response;
-        stats.phase_delivery = reg.anatomy.delivery_hist.clone();
-        stats.phase_transfer = reg.anatomy.transfer_hist.clone();
-        stats.phase_response = reg.anatomy.response_hist.clone();
-        stats.class_latency = reg.classes.clone();
-        stats.link_msgs = reg.link_message_summary();
-        for core in &self.cores {
-            stats.ops_retired += core.stats().retired;
-        }
-        for agent in &self.agents {
+        for agent in &m.agents {
             let a = agent.stats();
             stats.retries += a.retries;
             stats.transactions += a.completed;
@@ -1196,55 +1389,19 @@ impl Machine {
             stats.ltt_stalls += agent.ltt().stalled_responses();
             stats.ltt_peak = stats.ltt_peak.max(agent.ltt().peak_entries());
         }
-        stats.events = self.queue.events_processed();
-        Report {
-            exec_cycles,
-            finished,
-            stats,
+    }
+
+    fn input_ids(input: &AgentInput) -> Option<(TxnId, u64)> {
+        match input {
+            AgentInput::RingArrival(msg) => Some((msg.txn(), msg.line().raw())),
+            AgentInput::DirectRequest(req) => Some((req.txn, req.line.raw())),
+            AgentInput::Supplier(msg) => Some((msg.txn, msg.line.raw())),
+            _ => None,
         }
     }
 
-    /// Read access to the per-node protocol agents (post-run inspection).
-    pub fn agents(&self) -> &[RingAgent] {
-        &self.agents
-    }
-
-    /// Counts the nodes currently holding `line` in a supplier state —
-    /// the single-supplier invariant requires this to be at most 1 in
-    /// quiescence.
-    pub fn supplier_count(&self, line: LineAddr) -> usize {
-        self.agents
-            .iter()
-            .filter(|a| a.l2().state(line).is_supplier())
-            .count()
-    }
-
-    /// The recorded protocol event trace for `line`, in chronological
-    /// order (request issue/forwarding, snoops, LTT activity, response
-    /// forwarding with its marks, suppliership transfers, memory
-    /// fetches, retries, and completions). The events render the legacy
-    /// human-readable lines through their `Display` impl. Empty unless
-    /// the line was traced via [`MachineConfig::check_invariants`] or
-    /// [`MachineConfig::trace_lines`].
-    pub fn line_trace(&self, line: LineAddr) -> &[TraceEvent] {
-        self.trace.get(&line).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Read access to the protocol kind this machine runs.
-    pub fn protocol(&self) -> ProtocolKind {
-        self.cfg.protocol.kind
-    }
-
-    /// Peak number of simultaneously pending events observed so far —
-    /// the event-queue working set (reported by the bench sweep).
-    pub fn queue_peak(&self) -> usize {
-        self.queue.peak_len()
-    }
-
-    /// Fault-injection statistics accumulated by the network layer's
-    /// injector (all zeros when faults are off).
-    pub fn fault_stats(&self) -> ring_noc::FaultStats {
-        self.net.fault_stats()
+    fn snapshot(m: &Machine, cycle: Cycle) -> Option<SnapshotBuilder> {
+        Some(m.snapshot_at(cycle))
     }
 }
 
@@ -1464,23 +1621,27 @@ mod tests {
         let _ = Machine::new(cfg, &tiny_profile());
     }
 
-    #[test]
-    fn watchdog_reports_stall_instead_of_spinning() {
-        // A watchdog threshold far below the memory round trip (224
-        // cycles) makes the very first cold read look like a stall —
-        // a deterministic way to exercise the report path.
-        let mut cfg = MachineConfig::small_test(ProtocolKind::Uncorq);
-        cfg.seed = 7;
-        cfg.watchdog_cycles = 50;
-        let stall = Machine::new(cfg, &tiny_profile())
-            .try_run()
-            .expect_err("tiny watchdog must trip");
+    fn assert_watchdog_trips<A: NodeAgent>(mut m: Sim<A>) {
+        let stall = m.try_run().expect_err("tiny watchdog must trip");
         assert_eq!(stall.cause, StallCause::WatchdogExpired);
         assert!(stall.detected_at > stall.last_progress);
         assert!(!stall.unfinished_nodes.is_empty());
         assert!(stall.interesting_nodes().count() > 0);
         let text = stall.to_string();
         assert!(text.contains("FORWARD-PROGRESS STALL"), "{text}");
+    }
+
+    #[test]
+    fn watchdog_reports_stall_instead_of_spinning() {
+        // A watchdog threshold far below the memory round trip (224
+        // cycles) makes the very first cold read look like a stall —
+        // a deterministic way to exercise the report path, on the ring
+        // machine and the HT baseline alike.
+        let mut cfg = MachineConfig::small_test(ProtocolKind::Uncorq);
+        cfg.seed = 7;
+        cfg.watchdog_cycles = 50;
+        assert_watchdog_trips(Machine::new(cfg.clone(), &tiny_profile()));
+        assert_watchdog_trips(HtMachine::new(cfg, &tiny_profile()));
     }
 
     #[test]

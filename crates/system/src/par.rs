@@ -40,7 +40,7 @@ use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ring_cache::LineAddr;
-use ring_coherence::AgentInput;
+use ring_coherence::{AgentInput, RingAgent};
 use ring_sim::pdes::{backoff, AppliedCursor, DoneFlags, Gate, Partition, Round};
 use ring_sim::Cycle;
 
@@ -64,7 +64,7 @@ enum Work {
     /// Feed the node's agent completed memory data.
     Mem(LineAddr),
     /// Driver-only: reliable-transport machinery (global state).
-    Driver(Ev),
+    Driver(Ev<AgentInput>),
 }
 
 /// One batch item, written by the driver between rounds, read by every
@@ -181,7 +181,13 @@ struct Shared {
 /// the item's same-node predecessor (worker), or the caller is the
 /// driver at the item's commit position (everything earlier is already
 /// committed).
-unsafe fn compute_item(shard: &ShardPtrs, meta: &Meta, slot: &mut Slot, t: Cycle, slice: u64) {
+unsafe fn compute_item(
+    shard: &ShardPtrs<RingAgent>,
+    meta: &Meta,
+    slot: &mut Slot,
+    t: Cycle,
+    slice: u64,
+) {
     let n = meta.node as usize;
     match &meta.work {
         Work::Resume => {
@@ -207,7 +213,7 @@ unsafe fn compute_item(shard: &ShardPtrs, meta: &Meta, slot: &mut Slot, t: Cycle
 /// rounds — the driver helps the missed items through, and when the
 /// worker wakes it jumps straight to the newest round (every claim on
 /// an already-finished round fails, so stale scans touch nothing).
-fn worker_loop(my_lp: u32, shared: &Shared, shard: &ShardPtrs, slice: u64) {
+fn worker_loop(my_lp: u32, shared: &Shared, shard: &ShardPtrs<RingAgent>, slice: u64) {
     let mut seen = 0usize;
     loop {
         match shared.gate.wait_open(seen) {
@@ -261,17 +267,17 @@ fn worker_loop(my_lp: u32, shared: &Shared, shard: &ShardPtrs, slice: u64) {
 /// or watchdog stall). Returns the stall cycle if the watchdog expired.
 #[allow(clippy::too_many_arguments)]
 fn driver_rounds(
-    cx: &mut Ctx<'_>,
+    cx: &mut Ctx<'_, RingAgent>,
     part: &Partition,
     shared: &Shared,
-    shard: &ShardPtrs,
+    shard: &ShardPtrs<RingAgent>,
     workers: usize,
     slice: u64,
     cap: Cycle,
     stop: Cycle,
 ) -> Option<Cycle> {
     let nodes = part.nodes();
-    let mut batch: Vec<Ev> = Vec::new();
+    let mut batch: Vec<Ev<AgentInput>> = Vec::new();
     let mut last: Vec<u32> = vec![NO_PREV; nodes];
     let mut scratch_fx = Vec::new();
     let mut gen = 0usize;
@@ -438,7 +444,7 @@ impl Machine {
     ///
     /// The observable run — event order, trace stream, statistics,
     /// checkpoints, final report, and digests — is byte-identical to
-    /// [`Machine::try_run`] for every thread count and partition.
+    /// [`Sim::try_run`](crate::Sim::try_run) for every thread count and partition.
     /// `threads <= 1` *is* the serial engine (same code path), as is
     /// [`MachineConfig::check_invariants`] mode (whole-machine
     /// invariant scans are inherently serial).

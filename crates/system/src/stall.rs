@@ -2,11 +2,13 @@
 //!
 //! When the watchdog trips (no completion, binding, or core progress for
 //! the configured number of cycles) or the event queue drains with
-//! unfinished cores, [`crate::Machine::try_run`] terminates with a
-//! [`StallReport`] instead of panicking or spinning to the cycle cap.
-//! The report captures enough machine state to diagnose the livelock or
-//! deadlock post-mortem: per-node LTT occupancy, in-flight transactions,
-//! retry backoff and starvation state, and the last few trace events.
+//! unfinished cores, [`crate::Sim::try_run`] terminates with a
+//! [`StallReport`] instead of panicking or spinning to the cycle cap —
+//! on the ring machines and the HT baseline alike, since they share the
+//! loop. The report captures enough machine state to diagnose the
+//! livelock or deadlock post-mortem: per-node LTT occupancy (always 0
+//! on HT), in-flight transactions, retry backoff and starvation state,
+//! and the last few trace events.
 
 use ring_noc::RelSnapshot;
 use ring_sim::Cycle;
@@ -35,7 +37,7 @@ impl std::fmt::Display for StallCause {
 }
 
 /// One node's snapshot at stall time.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NodeStallState {
     /// Node id.
     pub node: u32,
@@ -95,7 +97,7 @@ pub struct RestoredFrom {
 }
 
 /// A structured description of a forward-progress failure, returned by
-/// [`crate::Machine::try_run`].
+/// [`crate::Sim::try_run`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StallReport {
     /// Why the run was terminated.

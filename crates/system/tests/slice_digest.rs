@@ -12,7 +12,7 @@ use std::sync::{Arc, Mutex};
 
 use ring_coherence::ProtocolVariant;
 use ring_noc::{FaultPlan, FaultProfile};
-use ring_system::{Machine, MachineConfig, RunProgress};
+use ring_system::{HtMachine, Machine, MachineConfig, NodeAgent, RunProgress, Sim};
 use ring_trace::{TraceEvent, TraceSink};
 use ring_workloads::AppProfile;
 
@@ -62,8 +62,7 @@ fn profile() -> AppProfile {
     AppProfile::by_name("fmm").expect("fmm profile").scaled(120)
 }
 
-fn uninterrupted(cfg: MachineConfig) -> (Vec<u8>, (u64, u64), usize) {
-    let mut m = Machine::new(cfg, &profile());
+fn uninterrupted<A: NodeAgent>(mut m: Sim<A>) -> (Vec<u8>, (u64, u64), usize) {
     let sink = DigestSink::new();
     m.set_trace_sink(Box::new(sink.clone()));
     let r = m.try_run().expect("reference run must not stall");
@@ -73,8 +72,7 @@ fn uninterrupted(cfg: MachineConfig) -> (Vec<u8>, (u64, u64), usize) {
     (stats, sink.digest(), m.queue_peak())
 }
 
-fn sliced(cfg: MachineConfig, slice: u64) -> (Vec<u8>, (u64, u64), usize, u64) {
-    let mut m = Machine::new(cfg, &profile());
+fn sliced<A: NodeAgent>(mut m: Sim<A>, slice: u64) -> (Vec<u8>, (u64, u64), usize, u64) {
     let sink = DigestSink::new();
     m.set_trace_sink(Box::new(sink.clone()));
     let mut slices = 0u64;
@@ -94,24 +92,34 @@ fn sliced(cfg: MachineConfig, slice: u64) -> (Vec<u8>, (u64, u64), usize, u64) {
 }
 
 /// Slices of several sizes (including single-event stepping) against
-/// the uninterrupted run, on a ring variant and the HT-free chaos case.
+/// the uninterrupted run of the machine `machine` builds.
+fn assert_slicing_is_unobservable<A: NodeAgent>(label: &str, machine: impl Fn() -> Sim<A>) {
+    let reference = uninterrupted(machine());
+    for slice in [1u64, 97, 5000] {
+        let (stats, trace, peak, slices) = sliced(machine(), slice);
+        assert!(slices > 0, "slice {slice} never yielded (test is vacuous)");
+        assert_eq!(
+            (stats, trace, peak),
+            reference.clone(),
+            "{label}: slice size {slice} diverged"
+        );
+    }
+}
+
+/// A ring variant, the chaos case, and the HT baseline (same loop).
 #[test]
 fn sliced_runs_are_byte_identical() {
     for (variant, chaos) in [
         (ProtocolVariant::Uncorq, false),
         (ProtocolVariant::UncorqPref, true),
     ] {
-        let reference = uninterrupted(cfg(variant, chaos));
-        for slice in [1u64, 97, 5000] {
-            let (stats, trace, peak, slices) = sliced(cfg(variant, chaos), slice);
-            assert!(slices > 0, "slice {slice} never yielded (test is vacuous)");
-            assert_eq!(
-                (stats, trace, peak),
-                reference.clone(),
-                "{variant} chaos={chaos}: slice size {slice} diverged"
-            );
-        }
+        assert_slicing_is_unobservable(&format!("{variant} chaos={chaos}"), || {
+            Machine::new(cfg(variant, chaos), &profile())
+        });
     }
+    assert_slicing_is_unobservable("HT", || {
+        HtMachine::new(cfg(ProtocolVariant::Eager, false), &profile())
+    });
 }
 
 /// Checkpoints written mid-run are identical whether the loop is sliced

@@ -18,7 +18,7 @@ use std::process::ExitCode;
 
 use uncorq::coherence::ProtocolKind;
 use uncorq::noc::{FaultPlan, FaultProfile, ReliabilityConfig};
-use uncorq::system::{HtMachine, Machine, MachineConfig, Report};
+use uncorq::system::{HtMachine, Machine, MachineConfig, NodeAgent, Report, Sim, StallReport};
 use uncorq::trace::{perfetto_json, FlightConfig, FlightRecorder, SharedBufferSink};
 use uncorq::workloads::AppProfile;
 
@@ -263,9 +263,9 @@ fn print_report(args: &Args, report: &Report) {
 
 /// Writes the three `--profile-out` artifacts: `BASE.perfetto.json`,
 /// `BASE.prom`, and `BASE.windows.jsonl`.
-fn write_profile_files(
+fn write_profile_files<A: NodeAgent>(
     base: &str,
-    m: &Machine,
+    m: &Sim<A>,
     report: &Report,
     shared: Option<&SharedBufferSink>,
 ) -> std::io::Result<()> {
@@ -305,6 +305,66 @@ fn write_trace_from_buffer(path: &str, shared: &SharedBufferSink) -> std::io::Re
         writeln!(w, "{}", ev.to_jsonl())?;
     }
     w.flush()
+}
+
+/// Installs the observers `args` asks for on `m`, runs it with `run`
+/// (a stall prints its report and yields the partial report), then
+/// prints the per-line trace and writes the profile and trace files.
+fn run_machine<A: NodeAgent>(
+    args: &Args,
+    m: &mut Sim<A>,
+    run: impl FnOnce(&mut Sim<A>) -> Result<Report, Box<StallReport>>,
+) -> Result<Report, ExitCode> {
+    // With --profile-out the Perfetto export needs the full event
+    // stream in memory, so a shared buffer replaces the direct-to-file
+    // sink; --trace-out is then written from the buffer after the run.
+    let shared = if args.profile && args.profile_out.is_some() {
+        let s = SharedBufferSink::new();
+        m.set_trace_sink(Box::new(s.clone()));
+        Some(s)
+    } else {
+        if let Some(path) = &args.trace_out {
+            match uncorq::trace::JsonlSink::create(path) {
+                Ok(sink) => m.set_trace_sink(Box::new(sink)),
+                Err(e) => {
+                    eprintln!("--trace-out {path}: {e}");
+                    return Err(ExitCode::FAILURE);
+                }
+            }
+        }
+        None
+    };
+    if args.profile {
+        m.enable_flight_recorder(FlightRecorder::new(FlightConfig::default()));
+    }
+    let r = match run(m) {
+        Ok(r) => r,
+        Err(stall) => {
+            eprintln!("{stall}");
+            m.report()
+        }
+    };
+    if let Some(l) = args.trace_line {
+        let line = uncorq::cache::LineAddr::new(l);
+        println!("protocol trace for {line}:");
+        for e in m.line_trace(line) {
+            println!("  {e}");
+        }
+        println!();
+    }
+    if let Some(base) = &args.profile_out {
+        if let Err(e) = write_profile_files(base, m, &r, shared.as_ref()) {
+            eprintln!("--profile-out {base}: {e}");
+            return Err(ExitCode::FAILURE);
+        }
+    }
+    if let (Some(path), Some(s)) = (&args.trace_out, &shared) {
+        if let Err(e) = write_trace_from_buffer(path, s) {
+            eprintln!("--trace-out {path}: {e}");
+            return Err(ExitCode::FAILURE);
+        }
+    }
+    Ok(r)
 }
 
 fn main() -> ExitCode {
@@ -395,7 +455,7 @@ fn main() -> ExitCode {
         eprintln!("--restore/--checkpoint-every are not supported on the HT baseline machine");
         return ExitCode::FAILURE;
     }
-    let report = match kind {
+    let run = match kind {
         Some(_) => {
             let mut m = match &args.restore {
                 None => Machine::new(cfg, &profile),
@@ -431,84 +491,20 @@ fn main() -> ExitCode {
                 m.enable_checkpoints(args.checkpoint_every, &args.checkpoint_dir);
                 m.set_checkpoint_retention(args.checkpoint_keep);
             }
-            // With --profile-out the Perfetto export needs the full
-            // event stream in memory, so a shared buffer replaces the
-            // direct-to-file sink; --trace-out is then written from the
-            // buffer after the run.
-            let shared = if args.profile && args.profile_out.is_some() {
-                let s = SharedBufferSink::new();
-                m.set_trace_sink(Box::new(s.clone()));
-                Some(s)
-            } else {
-                if let Some(path) = &args.trace_out {
-                    match uncorq::trace::JsonlSink::create(path) {
-                        Ok(sink) => m.set_trace_sink(Box::new(sink)),
-                        Err(e) => {
-                            eprintln!("--trace-out {path}: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                }
-                None
-            };
-            if args.profile {
-                m.enable_flight_recorder(FlightRecorder::new(FlightConfig::default()));
-            }
-            let run = if args.workers > 1 {
-                m.try_run_parallel(args.workers)
-            } else {
-                m.try_run()
-            };
-            let r = match run {
-                Ok(r) => r,
-                Err(stall) => {
-                    eprintln!("{stall}");
-                    m.report()
-                }
-            };
-            if let Some(l) = args.trace_line {
-                let line = uncorq::cache::LineAddr::new(l);
-                println!("protocol trace for {line}:");
-                for e in m.line_trace(line) {
-                    println!("  {e}");
-                }
-                println!();
-            }
-            if let Some(base) = &args.profile_out {
-                if let Err(e) = write_profile_files(base, &m, &r, shared.as_ref()) {
-                    eprintln!("--profile-out {base}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            if let (Some(path), Some(s)) = (&args.trace_out, &shared) {
-                if let Err(e) = write_trace_from_buffer(path, s) {
-                    eprintln!("--trace-out {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            r
+            // One thread is the serial engine.
+            run_machine(&args, &mut m, |m| m.try_run_parallel(args.workers))
         }
         None => {
-            if args.profile {
-                eprintln!("--profile is not supported on the HT baseline machine");
-                return ExitCode::FAILURE;
-            }
             if args.workers > 1 {
                 eprintln!("--workers is not supported on the HT baseline machine");
                 return ExitCode::FAILURE;
             }
-            let mut m = HtMachine::new(cfg, &profile);
-            if let Some(path) = &args.trace_out {
-                match uncorq::trace::JsonlSink::create(path) {
-                    Ok(sink) => m.set_trace_sink(Box::new(sink)),
-                    Err(e) => {
-                        eprintln!("--trace-out {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            m.run()
+            run_machine(&args, &mut HtMachine::new(cfg, &profile), Sim::try_run)
         }
+    };
+    let report = match run {
+        Ok(r) => r,
+        Err(code) => return code,
     };
     print_report(&args, &report);
     if args.profile {
