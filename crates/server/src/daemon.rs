@@ -19,11 +19,17 @@
 //!   so a restarted daemon rediscovers and resumes byte-identically.
 //!   `kill -9` is also survivable — resume falls back to each session's
 //!   newest valid periodic checkpoint.
+//!
+//! Nothing here polls on a session's behalf: the main thread blocks in
+//! `accept`, and a supervision thread blocks on the workers' exit
+//! notices. On shutdown the supervision thread wakes the accept by
+//! connecting to the socket itself.
 
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
@@ -31,17 +37,22 @@ use ring_trace::Delivery;
 
 use crate::proto::{err_frame, ok_frame, Command, ErrorKind, Request, WireError};
 use crate::supervisor::{ServerConfig, Supervisor};
-use crate::worker;
+use crate::worker::{self, Exited};
 
 /// Idle clients are disconnected after this long without a frame.
 pub const IDLE_TIMEOUT: Duration = Duration::from_secs(120);
 /// A subscriber that cannot absorb a write for this long is dropped.
 pub const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
-/// Accept-loop tick: poll cadence for supervision and shutdown checks.
-const TICK: Duration = Duration::from_millis(10);
+/// How often the supervision thread looks at the shutdown flag between
+/// worker exits: a signal handler can only set the flag, so shutdown
+/// starts at most this long after it.
+const SHUTDOWN_CHECK: Duration = Duration::from_millis(10);
+/// Pause after a failed `accept` (say, out of descriptors) before the
+/// next one.
+const ACCEPT_RETRY: Duration = Duration::from_millis(10);
 
-/// Set by SIGTERM/SIGINT (and the `shutdown` frame); the accept loop
-/// drains and exits when it observes it.
+/// Set by SIGTERM/SIGINT (and the `shutdown` frame); the supervision
+/// thread wakes the accept loop, which drains and exits.
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
 const SIGINT: i32 = 2;
@@ -78,7 +89,8 @@ fn lock_sup(sup: &Mutex<Supervisor>) -> MutexGuard<'_, Supervisor> {
 }
 
 /// Binds the socket and runs the daemon until shutdown. Rediscovers
-/// sessions left in the state root by a previous daemon first.
+/// sessions left in the state root by a previous daemon first. Joins
+/// its supervision thread before returning.
 ///
 /// # Errors
 ///
@@ -87,36 +99,60 @@ fn lock_sup(sup: &Mutex<Supervisor>) -> MutexGuard<'_, Supervisor> {
 pub fn serve(socket: &Path, cfg: ServerConfig) -> std::io::Result<()> {
     SHUTDOWN.store(false, Ordering::SeqCst);
     std::fs::create_dir_all(&cfg.state_root)?;
+    // Bind first: clients treat the socket file as "daemon up".
     let listener = bind(socket)?;
-    listener.set_nonblocking(true)?;
-    let sup = Arc::new(Mutex::new(Supervisor::new(cfg)));
+    let mut sup = Supervisor::new(cfg);
+    let exits = sup.take_exits();
+    let sup = Arc::new(Mutex::new(sup));
     let found = lock_sup(&sup).rediscover();
     if found > 0 {
         eprintln!("ringd: rediscovered {found} session(s) from the state root");
     }
-    loop {
-        if SHUTDOWN.load(Ordering::SeqCst) {
-            break;
-        }
+    let supervision = {
+        let sup = Arc::clone(&sup);
+        let socket = socket.to_path_buf();
+        std::thread::spawn(move || {
+            if let Some(exits) = exits {
+                supervise(&sup, &exits);
+            }
+            // Wake the accept below; the connection itself is dropped.
+            if let Err(e) = UnixStream::connect(&socket) {
+                eprintln!("ringd: waking the accept loop failed: {e}");
+            }
+        })
+    };
+    while !SHUTDOWN.load(Ordering::SeqCst) {
         match listener.accept() {
+            Ok(_) if SHUTDOWN.load(Ordering::SeqCst) => break,
             Ok((stream, _)) => {
                 let sup = Arc::clone(&sup);
                 std::thread::spawn(move || handle_client(stream, &sup));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                lock_sup(&sup).poll();
-                std::thread::sleep(TICK);
-            }
             Err(e) => {
                 eprintln!("ringd: accept failed: {e}");
-                std::thread::sleep(TICK);
+                std::thread::sleep(ACCEPT_RETRY);
             }
         }
     }
+    let _ = supervision.join();
     eprintln!("ringd: draining (checkpointing every live session)");
     lock_sup(&sup).drain();
     let _ = std::fs::remove_file(socket);
     Ok(())
+}
+
+/// The supervision thread: handles each worker exit as it arrives
+/// until shutdown is requested.
+fn supervise(sup: &Mutex<Supervisor>, exits: &Receiver<Exited>) {
+    while !SHUTDOWN.load(Ordering::SeqCst) {
+        match exits.recv_timeout(SHUTDOWN_CHECK) {
+            Ok(exit) => lock_sup(sup).on_exit(&exit),
+            Err(RecvTimeoutError::Timeout) => {}
+            // The supervisor holds a sender, so this cannot happen;
+            // keep watching the flag regardless.
+            Err(RecvTimeoutError::Disconnected) => std::thread::sleep(SHUTDOWN_CHECK),
+        }
+    }
 }
 
 /// Binds the listener, clearing a *stale* socket file (one no daemon
@@ -213,7 +249,6 @@ fn dispatch(
     cmd: Command,
 ) -> Result<Vec<(&'static str, crate::json::Json)>, WireError> {
     let mut sup = lock_sup(sup);
-    sup.poll(); // observe worker fates before answering
     match cmd {
         Command::Create { session, spec } => sup.create(&session, spec),
         Command::Start { session } => sup.start(&session),

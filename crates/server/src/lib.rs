@@ -22,8 +22,9 @@
 //!   never blocks — or perturbs — the simulation.
 //! - **Crash safety** ([`daemon`]): SIGTERM drains via checkpoints;
 //!   `kill -9` at any point loses only the work since the last
-//!   periodic checkpoint, and a restarted daemon rediscovers every
-//!   session from its manifest and resumes byte-identically.
+//!   durable periodic checkpoint (checkpoints are written behind the
+//!   run, at most one in flight), and a restarted daemon rediscovers
+//!   every session from its manifest and resumes byte-identically.
 //!
 //! Determinism is inherited, not re-proven here: `ring-system`'s slice
 //! tests show any [`ring_system::Machine::try_run_slice`] slicing is

@@ -13,7 +13,10 @@
 //!   snapshot (falling back past corrupted candidates), at most
 //!   `restart_cap` times; after that the session is `dead` with the
 //!   failure retained. Restore failures surface the typed
-//!   [`SnapshotError`] to clients.
+//!   [`SnapshotError`] to clients. Workers report their exit over a
+//!   channel ([`worker::Exited`]); the daemon's supervision thread
+//!   handles each exit as it arrives ([`Supervisor::on_exit`]), and
+//!   embedders without one call [`Supervisor::poll`].
 //! - **Drain**: on shutdown every live session is checkpointed and its
 //!   worker stopped, so a daemon restart resumes each one
 //!   byte-identically; `kill -9` merely costs the work since each
@@ -21,7 +24,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
-use std::sync::mpsc::RecvTimeoutError;
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -33,7 +36,7 @@ use crate::json::{obj, Json};
 use crate::proto::{ErrorKind, WireError};
 use crate::session::{check, SessionCmd, SessionState};
 use crate::spec::SessionSpec;
-use crate::worker::{self, lock, Ctl, Shared, Worker};
+use crate::worker::{self, lock, Ctl, Exited, Shared, Worker};
 
 /// File name of the per-session manifest.
 pub const MANIFEST_FILE: &str = "session.ringmeta";
@@ -92,6 +95,10 @@ pub struct Supervisor {
     cfg: ServerConfig,
     sessions: BTreeMap<String, Entry>,
     run_queue: VecDeque<String>,
+    /// Every worker's exit notices arrive here.
+    exits_tx: Sender<Exited>,
+    /// The receiving end, until a supervision thread takes it.
+    exits_rx: Option<Receiver<Exited>>,
 }
 
 /// Result payload fields of a successful command.
@@ -100,11 +107,21 @@ pub type Fields = Vec<(&'static str, Json)>;
 impl Supervisor {
     /// An empty supervisor.
     pub fn new(cfg: ServerConfig) -> Self {
+        let (exits_tx, exits_rx) = std::sync::mpsc::channel();
         Supervisor {
             cfg,
             sessions: BTreeMap::new(),
             run_queue: VecDeque::new(),
+            exits_tx,
+            exits_rx: Some(exits_rx),
         }
+    }
+
+    /// Hands the worker-exit channel to a supervision thread, which
+    /// then calls [`Supervisor::on_exit`] for each notice; `None` once
+    /// taken.
+    pub fn take_exits(&mut self) -> Option<Receiver<Exited>> {
+        self.exits_rx.take()
     }
 
     /// The configured state root.
@@ -134,13 +151,25 @@ impl Supervisor {
             .count()
     }
 
-    /// Builds the machine a session entry runs, wiring the trace sink
-    /// and checkpoint policy.
-    fn outfit(&self, machine: &mut Machine, dir: &std::path::Path, fanout: &FanoutSink) {
-        machine.set_trace_sink(Box::new(fanout.clone()));
+    /// Starts the worker of session `name` on `machine`, after wiring
+    /// the checkpoint policy. The worker installs the session's trace
+    /// fan-out itself, while it has subscribers.
+    fn launch(&self, name: &str, entry: &Entry, mut machine: Machine) -> Worker {
         // Cadence 0 still sets the directory for on-demand snapshots.
-        machine.enable_checkpoints(self.cfg.checkpoint_every, dir);
+        machine.enable_checkpoints(self.cfg.checkpoint_every, &entry.dir);
         machine.set_checkpoint_retention(self.cfg.checkpoint_keep);
+        worker::spawn(
+            machine,
+            worker::Setup {
+                session: name.to_string(),
+                dir: entry.dir.clone(),
+                shared: Arc::clone(&entry.shared),
+                fanout: entry.fanout.clone(),
+                slice: self.cfg.slice_events,
+                panic_at: entry.spec.inject_panic_at,
+                exits: self.exits_tx.clone(),
+            },
+        )
     }
 
     /// Admits a new session.
@@ -176,27 +205,15 @@ impl Supervisor {
         manifest
             .write_atomic(&dir.join(MANIFEST_FILE))
             .map_err(|e| WireError::new(ErrorKind::Snapshot, e.to_string()))?;
-        let mut machine = Machine::new(cfg, &profile);
-        let fanout = FanoutSink::new();
-        self.outfit(&mut machine, &dir, &fanout);
-        let shared = Arc::new(Mutex::new(Shared::new()));
-        let w = worker::spawn(
-            machine,
-            Arc::clone(&shared),
-            dir.clone(),
-            self.cfg.slice_events,
-            spec.inject_panic_at,
-        );
-        self.sessions.insert(
-            name.to_string(),
-            Entry {
-                spec,
-                dir,
-                shared,
-                fanout,
-                worker: Some(w),
-            },
-        );
+        let mut entry = Entry {
+            spec,
+            dir,
+            shared: Arc::new(Mutex::new(Shared::new())),
+            fanout: FanoutSink::new(),
+            worker: None,
+        };
+        entry.worker = Some(self.launch(name, &entry, Machine::new(cfg, &profile)));
+        self.sessions.insert(name.to_string(), entry);
         Ok(vec![
             ("session", Json::Str(name.to_string())),
             ("state", Json::Str("created".into())),
@@ -279,26 +296,22 @@ impl Supervisor {
     pub fn restore(&mut self, name: &str) -> Result<Fields, WireError> {
         self.gate(name, SessionCmd::Restore)?;
         self.run_queue.retain(|n| n != name);
-        let entry = self.sessions.get_mut(name).ok_or_else(|| {
-            WireError::new(ErrorKind::UnknownSession, format!("no session `{name}`"))
-        })?;
-        if let Some(w) = entry.worker.take() {
+        let old = self
+            .sessions
+            .get_mut(name)
+            .and_then(|entry| entry.worker.take());
+        if let Some(w) = old {
             let _ = w.ctl.send(Ctl::Kill);
             let _ = w.handle.join();
         }
+        let entry = self.entry(name)?;
         let (cfg, profile) = entry
             .spec
             .build()
             .map_err(|e| WireError::new(ErrorKind::BadSpec, e.to_string()))?;
-        let (mut machine, from) = restore_latest(&cfg, &profile, &entry.dir)
+        let (machine, from) = restore_latest(&cfg, &profile, &entry.dir)
             .map_err(|e| WireError::new(ErrorKind::Snapshot, e.to_string()))?;
         let cycle = machine.restored_from().map_or(0, |(_, c)| c);
-        let slice = self.cfg.slice_events;
-        let panic_at = entry.spec.inject_panic_at;
-        // Re-outfit: same fanout, so subscriptions survive the restore.
-        machine.set_trace_sink(Box::new(entry.fanout.clone()));
-        machine.enable_checkpoints(self.cfg.checkpoint_every, &entry.dir);
-        machine.set_checkpoint_retention(self.cfg.checkpoint_keep);
         {
             let mut sh = lock(&entry.shared);
             sh.state = SessionState::Paused;
@@ -308,13 +321,11 @@ impl Supervisor {
             sh.stall = None;
             sh.note = Some(format!("restored from {}", from.display()));
         }
-        entry.worker = Some(worker::spawn(
-            machine,
-            Arc::clone(&entry.shared),
-            entry.dir.clone(),
-            slice,
-            panic_at,
-        ));
+        // Same fanout, so subscriptions survive the restore.
+        let w = self.launch(name, entry, machine);
+        if let Some(entry) = self.sessions.get_mut(name) {
+            entry.worker = Some(w);
+        }
         Ok(vec![
             ("restored_from", Json::Str(from.display().to_string())),
             ("cycle", Json::Num(cycle as f64)),
@@ -387,39 +398,49 @@ impl Supervisor {
         }
     }
 
-    /// Reaps exited workers, applies the restart policy, and grants
-    /// freed run slots to the FIFO. Called periodically by the accept
-    /// loop; cheap when nothing changed.
+    /// Handles every worker exit reported so far (see
+    /// [`Supervisor::on_exit`]), then grants freed run slots. For
+    /// embedders without a supervision thread; a no-op after
+    /// [`Supervisor::take_exits`].
     pub fn poll(&mut self) {
-        let names: Vec<String> = self.sessions.keys().cloned().collect();
-        for name in names {
-            let finished = self
-                .sessions
-                .get(&name)
-                .and_then(|e| e.worker.as_ref())
-                .is_some_and(|w| w.handle.is_finished());
-            if !finished {
-                continue;
+        let exits: Vec<Exited> = self
+            .exits_rx
+            .as_ref()
+            .map(|rx| rx.try_iter().collect())
+            .unwrap_or_default();
+        for exit in &exits {
+            self.on_exit(exit);
+        }
+        self.pump();
+    }
+
+    /// Reaps the worker that sent `exit`, applies the restart policy,
+    /// and grants freed run slots to the FIFO. A notice from a worker
+    /// the supervisor already joined (killed, restored, drained) is
+    /// stale and changes nothing.
+    pub fn on_exit(&mut self, exit: &Exited) {
+        let Some(entry) = self.sessions.get_mut(&exit.session) else {
+            return;
+        };
+        let Some(w) = entry
+            .worker
+            .take_if(|w| w.handle.thread().id() == exit.thread)
+        else {
+            return;
+        };
+        // The notice is the thread's last act, so this join is brief.
+        match w.handle.join() {
+            Ok(()) => {
+                // Clean exit: finished, stalled, or killed. A stall
+                // gets the restart policy; the report stays visible.
+                let state = lock(&entry.shared).state;
+                if state == SessionState::Stalled {
+                    self.restart(&exit.session, "watchdog stall");
+                }
             }
-            let Some(entry) = self.sessions.get_mut(&name) else {
-                continue;
-            };
-            let Some(w) = entry.worker.take() else {
-                continue;
-            };
-            match w.handle.join() {
-                Ok(()) => {
-                    // Clean exit: finished, stalled, or killed. A stall
-                    // gets the restart policy; the report stays visible.
-                    let state = lock(&entry.shared).state;
-                    if state == SessionState::Stalled {
-                        self.restart(&name, "watchdog stall");
-                    }
-                }
-                Err(payload) => {
-                    let what = panic_text(payload.as_ref());
-                    self.restart(&name, &format!("worker panic: {what}"));
-                }
+            Err(payload) => {
+                let what = panic_text(payload.as_ref());
+                self.restart(&exit.session, &format!("worker panic: {what}"));
             }
         }
         self.pump();
@@ -428,7 +449,7 @@ impl Supervisor {
     /// Restart policy: restore from the newest valid snapshot, resume
     /// if the session was executing, give up past the cap.
     fn restart(&mut self, name: &str, why: &str) {
-        let Some(entry) = self.sessions.get_mut(name) else {
+        let Some(entry) = self.sessions.get(name) else {
             return;
         };
         let restarts = lock(&entry.shared).restarts;
@@ -464,11 +485,8 @@ impl Supervisor {
             Err(e) => Err(e),
         };
         match restored {
-            Ok((mut machine, from)) => {
+            Ok((machine, from)) => {
                 let cycle = machine.restored_from().map_or(0, |(_, c)| c);
-                machine.set_trace_sink(Box::new(entry.fanout.clone()));
-                machine.enable_checkpoints(self.cfg.checkpoint_every, &entry.dir);
-                machine.set_checkpoint_retention(self.cfg.checkpoint_keep);
                 let resume = {
                     let mut sh = lock(&entry.shared);
                     sh.restarts = restarts + 1;
@@ -492,17 +510,13 @@ impl Supervisor {
                     };
                     resume
                 };
-                let w = worker::spawn(
-                    machine,
-                    Arc::clone(&entry.shared),
-                    entry.dir.clone(),
-                    self.cfg.slice_events,
-                    entry.spec.inject_panic_at,
-                );
+                let w = self.launch(name, entry, machine);
                 if resume {
                     let _ = w.ctl.send(Ctl::Resume);
                 }
-                entry.worker = Some(w);
+                if let Some(entry) = self.sessions.get_mut(name) {
+                    entry.worker = Some(w);
+                }
             }
             Err(e) => {
                 let mut sh = lock(&entry.shared);
@@ -633,32 +647,20 @@ impl Supervisor {
                     Some("rediscovered; no checkpoint trail, starting fresh".to_string()),
                 )
             };
-            let mut machine = machine;
-            let fanout = FanoutSink::new();
-            self.outfit(&mut machine, &dir, &fanout);
-            let shared = Arc::new(Mutex::new(Shared {
-                state,
-                cycle,
-                note,
-                ..Shared::new()
-            }));
-            let w = worker::spawn(
-                machine,
-                Arc::clone(&shared),
-                dir.clone(),
-                self.cfg.slice_events,
-                spec.inject_panic_at,
-            );
-            self.sessions.insert(
-                name,
-                Entry {
-                    spec,
-                    dir,
-                    shared,
-                    fanout,
-                    worker: Some(w),
-                },
-            );
+            let mut entry = Entry {
+                spec,
+                dir,
+                shared: Arc::new(Mutex::new(Shared {
+                    state,
+                    cycle,
+                    note,
+                    ..Shared::new()
+                })),
+                fanout: FanoutSink::new(),
+                worker: None,
+            };
+            entry.worker = Some(self.launch(&name, &entry, machine));
+            self.sessions.insert(name, entry);
             admitted += 1;
         }
         admitted
@@ -789,15 +791,26 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
     }
 
+    /// A session that runs until stopped: no cycle cap and more work
+    /// than any test waits for.
+    fn endless_spec() -> SessionSpec {
+        SessionSpec {
+            scale: 1 << 40,
+            max_cycles: 0,
+            ..SessionSpec::default()
+        }
+    }
+
     #[test]
     fn run_slots_queue_fifo_and_overflow_is_queue_full() {
         let root = temp_root("queue");
         let mut cfg = ServerConfig::new(&root);
         cfg.max_running = 1;
         cfg.queue_cap = 1;
+        cfg.checkpoint_every = 0;
         let mut sup = Supervisor::new(cfg);
         for n in ["a", "b", "c"] {
-            sup.create(n, tiny_spec()).unwrap();
+            sup.create(n, endless_spec()).unwrap();
         }
         sup.start("a").unwrap();
         let fields = sup.start("b").unwrap();
@@ -806,17 +819,55 @@ mod tests {
             .any(|(k, v)| *k == "state" && v.as_str() == Some("queued")));
         let err = sup.start("c").unwrap_err();
         assert_eq!(err.kind, ErrorKind::QueueFull);
-        // `a` finishes; the slot goes to `b`.
-        wait_for(&mut sup, |s| state(s, "a") == SessionState::Finished);
-        wait_for(&mut sup, |s| {
-            matches!(
-                state(s, "b"),
-                SessionState::Running | SessionState::Finished
-            )
-        });
-        for n in ["a", "b", "c"] {
+        // Pausing `a` frees its slot, which goes to `b` at once.
+        sup.pause("a").unwrap();
+        assert_eq!(state(&sup, "b"), SessionState::Running);
+        // `c` now queues behind `b`; killing `b` hands it the slot.
+        let fields = sup.start("c").unwrap();
+        assert!(fields
+            .iter()
+            .any(|(k, v)| *k == "state" && v.as_str() == Some("queued")));
+        sup.kill("b").unwrap();
+        assert_eq!(state(&sup, "c"), SessionState::Running);
+        for n in ["a", "c"] {
             sup.kill(n).unwrap();
         }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A finished worker publishes its state before it writes the
+    /// report files, so a client that sees the files reads `finished`:
+    /// while the state is held locked, no report file appears.
+    #[test]
+    fn report_files_follow_the_published_state() {
+        let root = temp_root("order");
+        let mut cfg = ServerConfig::new(&root);
+        cfg.slice_events = u64::MAX; // the whole run is one slice
+        cfg.checkpoint_every = 0;
+        let mut sup = Supervisor::new(cfg);
+        let spec = SessionSpec {
+            scale: 400,
+            ..SessionSpec::default()
+        };
+        sup.create("a", spec).unwrap();
+        // A snapshot's reply shows the worker is in its loop, past its
+        // start-up read of the state.
+        sup.snapshot("a").unwrap();
+        sup.step("a", u64::MAX).unwrap();
+        let shared = Arc::clone(&sup.sessions.get("a").unwrap().shared);
+        let dir = root.join("a");
+        {
+            let _held = lock(&shared);
+            // The run ends within milliseconds; give files written
+            // ahead of the state ample time to show.
+            std::thread::sleep(Duration::from_millis(300));
+            for name in [worker::REPORT_TEXT, worker::REPORT_JSON] {
+                assert!(!dir.join(name).exists(), "{name} precedes the state");
+            }
+        }
+        wait_for(&mut sup, |s| state(s, "a") == SessionState::Finished);
+        sup.kill("a").unwrap();
+        assert!(dir.join(worker::REPORT_JSON).exists());
         let _ = std::fs::remove_dir_all(&root);
     }
 

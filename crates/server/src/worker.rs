@@ -10,15 +10,25 @@
 //!
 //! The worker communicates outward only through its [`Shared`] cell
 //! (cycle, state, final report, stall report) and inward only through
-//! [`Ctl`] messages. A panic unwinds the thread; the supervisor
-//! detects it at join and restarts from the newest valid snapshot.
+//! [`Ctl`] messages. Whenever its thread ends — finished, stalled,
+//! killed, or unwinding from a panic — a drop guard sends an [`Exited`]
+//! notice, so supervision reacts at once: it joins the thread, learns
+//! of a panic from the join, and restarts from the newest valid
+//! snapshot.
+//!
+//! The session's trace fan-out is installed on the machine only while
+//! someone subscribes: the worker checks the subscriber count before
+//! every slice, so an unobserved session runs untraced, and a
+//! subscriber that attaches mid-run sees events from the next slice
+//! boundary on.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, ThreadId};
 
 use ring_system::{Machine, RunProgress};
+use ring_trace::FanoutSink;
 
 use crate::session::SessionState;
 
@@ -116,33 +126,82 @@ pub struct Worker {
     pub handle: JoinHandle<()>,
 }
 
+/// Sent by a worker thread as it ends, however it ends. By then its
+/// machine is dropped, so every checkpoint it took is on disk.
+#[derive(Debug)]
+pub struct Exited {
+    /// The session the worker ran.
+    pub session: String,
+    /// The worker's thread, to tell its notice from that of a worker
+    /// the supervisor has since replaced.
+    pub thread: ThreadId,
+}
+
+/// The drop guard that sends [`Exited`]; dropped after the machine.
+struct ExitNotice {
+    session: String,
+    exits: Sender<Exited>,
+}
+
+impl Drop for ExitNotice {
+    fn drop(&mut self) {
+        let _ = self.exits.send(Exited {
+            session: std::mem::take(&mut self.session),
+            thread: std::thread::current().id(),
+        });
+    }
+}
+
+/// Everything a worker thread is handed besides its machine.
+#[derive(Debug)]
+pub struct Setup {
+    /// Session name, echoed in the [`Exited`] notice.
+    pub session: String,
+    /// Session directory: checkpoints, reports, the panic marker.
+    pub dir: PathBuf,
+    /// The live view shared with the supervisor.
+    pub shared: Arc<Mutex<Shared>>,
+    /// The session's trace fan-out, installed on the machine only while
+    /// it has subscribers.
+    pub fanout: FanoutSink,
+    /// Events per slice.
+    pub slice: u64,
+    /// The deterministic supervision-drill knob: panic once on reaching
+    /// this cycle.
+    pub panic_at: Option<u64>,
+    /// Where the worker reports its exit.
+    pub exits: Sender<Exited>,
+}
+
 /// Spawns the worker thread for `machine`. The caller has already
-/// installed the trace sink and checkpoint policy on the machine and
-/// set `shared.state` (`Running` to start hot, anything else to start
-/// held). `panic_at` is the deterministic supervision-drill knob.
-pub fn spawn(
-    machine: Machine,
-    shared: Arc<Mutex<Shared>>,
-    dir: PathBuf,
-    slice: u64,
-    panic_at: Option<u64>,
-) -> Worker {
+/// installed the checkpoint policy on the machine and set
+/// `setup.shared`'s state (`Running` to start hot, anything else to
+/// start held).
+pub fn spawn(machine: Machine, setup: Setup) -> Worker {
     let (tx, rx) = std::sync::mpsc::channel();
-    let handle = std::thread::spawn(move || run_loop(machine, &shared, &rx, &dir, slice, panic_at));
+    let handle = std::thread::spawn(move || {
+        // Declared before the machine is moved in, so dropped after it.
+        let _notice = ExitNotice {
+            session: setup.session.clone(),
+            exits: setup.exits.clone(),
+        };
+        run_loop(machine, &setup, &rx);
+    });
     Worker { ctl: tx, handle }
 }
 
-fn run_loop(
-    mut machine: Machine,
-    shared: &Mutex<Shared>,
-    ctl: &Receiver<Ctl>,
-    dir: &std::path::Path,
-    slice: u64,
-    panic_at: Option<u64>,
-) {
-    let slice = slice.max(1);
+fn run_loop(mut machine: Machine, setup: &Setup, ctl: &Receiver<Ctl>) {
+    let Setup {
+        dir,
+        shared,
+        fanout,
+        panic_at,
+        ..
+    } = setup;
+    let slice = setup.slice.max(1);
     let mut running = lock(shared).state == SessionState::Running;
     let mut step_budget: u64 = 0;
+    let mut traced = false;
     loop {
         let executing = running || step_budget > 0;
         let msg = if executing {
@@ -186,6 +245,17 @@ fn run_loop(
             continue; // drain further control before simulating
         }
 
+        // Trace only while someone listens; checked once per slice.
+        let observed = fanout.subscriber_count() > 0;
+        if observed != traced {
+            if observed {
+                machine.set_trace_sink(Box::new(fanout.clone()));
+            } else {
+                machine.remove_trace_sink();
+            }
+            traced = observed;
+        }
+
         // Execute one slice.
         let budget = if running {
             slice
@@ -206,12 +276,16 @@ fn run_loop(
                     Ok(()) => String::from_utf8_lossy(&json).into_owned(),
                     Err(_) => String::new(),
                 };
+                // Publish before persisting: a client that sees the
+                // report files must find the session `finished`.
+                {
+                    let mut sh = lock(shared);
+                    sh.cycle = report.exec_cycles;
+                    sh.report_text = Some(text.clone());
+                    sh.report_json = Some(json.clone());
+                    sh.state = SessionState::Finished;
+                }
                 persist_report(dir, &text, &json);
-                let mut sh = lock(shared);
-                sh.cycle = report.exec_cycles;
-                sh.report_text = Some(text);
-                sh.report_json = Some(json);
-                sh.state = SessionState::Finished;
                 return;
             }
             Ok(RunProgress::Yielded { events, cycle }) => {
@@ -223,7 +297,7 @@ fn run_loop(
                 if step_budget > 0 {
                     step_budget = step_budget.saturating_sub(events);
                 }
-                if let Some(at) = panic_at {
+                if let Some(at) = *panic_at {
                     maybe_inject_panic(dir, cycle, at);
                 }
             }
@@ -242,7 +316,7 @@ fn run_loop(
 /// the session past `at` cycles writes a marker file and panics. The
 /// marker makes the injection once per *session*, so the restarted
 /// worker sails through the same cycle.
-fn maybe_inject_panic(dir: &std::path::Path, cycle: u64, at: u64) {
+fn maybe_inject_panic(dir: &Path, cycle: u64, at: u64) {
     if cycle < at {
         return;
     }
@@ -256,7 +330,7 @@ fn maybe_inject_panic(dir: &std::path::Path, cycle: u64, at: u64) {
 
 /// Best-effort persistence of the final report next to the checkpoint
 /// trail, so results survive the daemon process itself.
-fn persist_report(dir: &std::path::Path, text: &str, json: &str) {
+fn persist_report(dir: &Path, text: &str, json: &str) {
     for (name, body) in [(REPORT_TEXT, text), (REPORT_JSON, json)] {
         let path = dir.join(name);
         if let Err(e) = std::fs::write(&path, body) {

@@ -8,18 +8,26 @@
 //! - a slow subscriber gets counted-drop gap markers and the
 //!   simulation's results are byte-identical to an unsubscribed run
 //!   (observation never perturbs the machine);
+//! - a subscriber that attaches before `start` gets the in-process
+//!   run's exact event sequence, and one that attaches while the
+//!   session is held gets a contiguous suffix of it;
+//! - a session's report files never appear before its state says
+//!   `finished`;
 //! - a `shutdown` frame drains gracefully.
 //!
 //! The daemon's shutdown flag is process-global, so every test
 //! serializes on [`TEST_LOCK`].
 
-use std::io::BufRead;
+use std::io::{BufRead, BufReader};
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Duration;
 
 use ring_server::json::Json;
 use ring_server::{daemon, Client, Command, ErrorKind, ServerConfig, SessionSpec};
+use ring_system::Machine;
+use ring_trace::SharedBufferSink;
 
 static TEST_LOCK: OnceLock<Mutex<()>> = OnceLock::new();
 
@@ -69,6 +77,15 @@ impl Harness {
         Client::connect(&self.socket).expect("daemon reachable")
     }
 
+    fn status(&self, session: &str) -> Json {
+        self.client()
+            .request(Command::Status {
+                session: Some(session.to_string()),
+            })
+            .expect("status")
+            .body
+    }
+
     fn wait_state(&self, session: &str, want: &[&str]) -> String {
         let mut client = self.client();
         for _ in 0..600 {
@@ -109,6 +126,36 @@ fn tiny_spec() -> SessionSpec {
         scale: 40,
         ..SessionSpec::default()
     }
+}
+
+/// The trace events of an in-process run of `spec`, as the lines a
+/// subscription streams them.
+fn in_process_stream(spec: &SessionSpec) -> Vec<String> {
+    let (cfg, profile) = spec.build().expect("spec builds");
+    let sink = SharedBufferSink::new();
+    let mut m = Machine::new(cfg, &profile);
+    m.set_trace_sink(Box::new(sink.clone()));
+    m.try_run().expect("reference run");
+    sink.snapshot()
+        .iter()
+        .map(|ev| format!("{{\"ev\":{}}}", ev.to_jsonl()))
+        .collect()
+}
+
+/// Reads a subscription to its end: the event lines, then the end line.
+/// Any gap marker fails the test.
+fn read_stream(sub: BufReader<UnixStream>) -> (Vec<String>, String) {
+    let mut events = Vec::new();
+    for line in sub.lines() {
+        let line = line.expect("stream line");
+        if line.starts_with("{\"ev\":") {
+            events.push(line);
+        } else {
+            assert!(line.starts_with("{\"end\":"), "unexpected line {line}");
+            return (events, line);
+        }
+    }
+    panic!("the stream closed without an end line");
 }
 
 #[test]
@@ -303,4 +350,111 @@ fn raw_socket_garbage_is_typed_and_nonfatal() {
     let mut c = h.client();
     c.request(Command::Status { session: None })
         .expect("status after garbage");
+}
+
+#[test]
+fn subscriber_before_start_gets_the_in_process_event_sequence() {
+    let _guard = serialized();
+    let h = Harness::launch("complete", |_| {});
+    let want = in_process_stream(&tiny_spec());
+    let mut c = h.client();
+    c.request(Command::Create {
+        session: "obs".into(),
+        spec: tiny_spec(),
+    })
+    .expect("create");
+    let sub = h.client().subscribe("obs", 1 << 20).expect("subscribe");
+    c.request(Command::Start {
+        session: "obs".into(),
+    })
+    .expect("start");
+    let (got, end) = read_stream(sub);
+    assert_eq!(end, r#"{"end":"finished"}"#);
+    assert_eq!(got.len(), want.len(), "event count differs");
+    assert!(got == want, "the stream differs from the in-process trace");
+}
+
+#[test]
+fn subscriber_of_a_held_session_gets_a_contiguous_suffix() {
+    let _guard = serialized();
+    let h = Harness::launch("suffix", |_| {});
+    let want = in_process_stream(&tiny_spec());
+    let mut c = h.client();
+    c.request(Command::Create {
+        session: "held".into(),
+        spec: tiny_spec(),
+    })
+    .expect("create");
+    // Run 2000 events unobserved, and wait until the worker holds.
+    c.request(Command::Step {
+        session: "held".into(),
+        events: 2000,
+    })
+    .expect("step");
+    for _ in 0..1000 {
+        if h.status("held").get("events").and_then(Json::as_u64) == Some(2000) {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(
+        h.status("held").get("events").and_then(Json::as_u64),
+        Some(2000),
+        "the step never completed"
+    );
+    let sub = h.client().subscribe("held", 1 << 20).expect("subscribe");
+    c.request(Command::Start {
+        session: "held".into(),
+    })
+    .expect("start");
+    let (got, end) = read_stream(sub);
+    assert_eq!(end, r#"{"end":"finished"}"#);
+    assert!(
+        !got.is_empty() && got.len() < want.len(),
+        "expected a proper suffix: {} of {} events",
+        got.len(),
+        want.len()
+    );
+    assert!(
+        want.ends_with(&got),
+        "the stream is not a contiguous suffix of the in-process trace"
+    );
+}
+
+#[test]
+fn report_files_never_precede_the_finished_state() {
+    let _guard = serialized();
+    let h = Harness::launch("report", |_| {});
+    let mut c = h.client();
+    for i in 0..16 {
+        let name = format!("r{i}");
+        c.request(Command::Create {
+            session: name.clone(),
+            spec: tiny_spec(),
+        })
+        .expect("create");
+        c.request(Command::Start {
+            session: name.clone(),
+        })
+        .expect("start");
+        let report = h.root.join(&name).join("report.json");
+        for _ in 0..30_000 {
+            if report.exists() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(report.exists(), "{name} wrote no report");
+        let reply = c
+            .request(Command::Status {
+                session: Some(name.clone()),
+            })
+            .expect("status");
+        assert_eq!(
+            reply.body.get("state").and_then(Json::as_str),
+            Some("finished"),
+            "{name}: report.json exists but the state is not finished"
+        );
+        c.request(Command::Kill { session: name }).expect("kill");
+    }
 }

@@ -62,6 +62,17 @@ impl SnapshotBuilder {
 
     /// Encodes the complete snapshot file.
     pub fn encode(&self) -> Vec<u8> {
+        let mut out = self.prefix();
+        out.reserve(self.sections.iter().map(|(_, p)| p.len()).sum::<usize>());
+        for (_, payload) in &self.sections {
+            out.extend_from_slice(payload);
+        }
+        out
+    }
+
+    /// The file up to the first section payload: magic, header length,
+    /// header, header CRC.
+    fn prefix(&self) -> Vec<u8> {
         let mut header = SnapWriter::new();
         header.put(&SCHEMA_VERSION);
         header.put_str(&self.header.git_commit);
@@ -74,38 +85,30 @@ impl SnapshotBuilder {
             header.put(&crc32(payload));
         }
         let header = header.into_bytes();
-
-        let mut out = Vec::with_capacity(
-            MAGIC.len()
-                + 8
-                + header.len()
-                + 4
-                + self.sections.iter().map(|(_, p)| p.len()).sum::<usize>(),
-        );
+        let mut out = Vec::with_capacity(MAGIC.len() + 8 + header.len() + 4);
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&(header.len() as u64).to_le_bytes());
         out.extend_from_slice(&header);
         out.extend_from_slice(&crc32(&header).to_le_bytes());
-        for (_, payload) in &self.sections {
-            out.extend_from_slice(payload);
-        }
         out
     }
 
     /// Writes the snapshot atomically: encode to `<path>.tmp`, fsync,
     /// rename over `path`, fsync the directory. A crash at any point
     /// leaves either the old file or the new one — never a torn mix.
+    /// The payloads are written where they lie, not copied into one
+    /// encoded buffer first; the bytes are those of [`Self::encode`].
     pub fn write_atomic(&self, path: &Path) -> Result<(), SnapshotError> {
-        let bytes = self.encode();
         let display = path.display().to_string();
         let tmp = path.with_extension("tmp");
         {
-            let mut f = std::fs::File::create(&tmp)
-                .map_err(|e| SnapshotError::io(tmp.display().to_string(), e))?;
-            f.write_all(&bytes)
-                .map_err(|e| SnapshotError::io(tmp.display().to_string(), e))?;
-            f.sync_all()
-                .map_err(|e| SnapshotError::io(tmp.display().to_string(), e))?;
+            let tmp_err = |e| SnapshotError::io(tmp.display().to_string(), e);
+            let mut f = std::fs::File::create(&tmp).map_err(tmp_err)?;
+            f.write_all(&self.prefix()).map_err(tmp_err)?;
+            for (_, payload) in &self.sections {
+                f.write_all(payload).map_err(tmp_err)?;
+            }
+            f.sync_all().map_err(tmp_err)?;
         }
         std::fs::rename(&tmp, path).map_err(|e| SnapshotError::io(&display, e))?;
         // Persist the rename itself. Best-effort: some filesystems do
@@ -344,7 +347,9 @@ mod tests {
             cycle: 2,
         });
         b.section("s", |w| w.put(&5u8));
+        b.section("t", |w| w.put(&vec![7u64; 100]));
         b.write_atomic(&path).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b.encode());
         let f = SnapshotFile::read(&path).unwrap();
         assert_eq!(f.header.cycle, 2);
         std::fs::remove_file(&path).unwrap();

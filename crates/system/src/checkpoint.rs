@@ -7,11 +7,17 @@
 //! one that passes full integrity verification — a torn or bit-flipped
 //! newest checkpoint costs the work since the previous one, never
 //! correctness.
+//!
+//! Periodic checkpoints are written behind the run by a [`Writer`]: the
+//! simulation thread builds each image at its exact cycle and hands it
+//! over; the writer thread writes, syncs, renames and prunes.
 
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{SendError, SyncSender};
+use std::thread::JoinHandle;
 
 use ring_coherence::ProtocolKind;
-use ring_snapshot::{FnvHasher, SnapshotError};
+use ring_snapshot::{FnvHasher, SnapshotBuilder, SnapshotError};
 use ring_workloads::AppProfile;
 
 use crate::config::MachineConfig;
@@ -219,6 +225,98 @@ pub fn restore_latest(
     Err(SnapshotError::NoValidCheckpoint {
         dir: dir.display().to_string(),
     })
+}
+
+/// One periodic checkpoint: the image, built at its exact cycle, and
+/// where it goes.
+struct Job {
+    image: SnapshotBuilder,
+    path: PathBuf,
+    keep: usize,
+}
+
+/// What the simulation thread sends the writer thread.
+enum Msg {
+    Write(Job),
+    /// No work: received only once every earlier job is done.
+    Barrier,
+}
+
+/// Writes one checkpoint atomically, then applies the retention bound.
+/// Pruning follows only a *successful* write: a failed write must never
+/// shrink the set of restore candidates.
+fn write_job(job: Job) {
+    match job.image.write_atomic(&job.path) {
+        Ok(()) => {
+            if job.keep > 0 {
+                if let Some(dir) = job.path.parent() {
+                    prune_checkpoints(dir, job.keep);
+                }
+            }
+        }
+        Err(e) => eprintln!(
+            "checkpoint at cycle {} failed: {e}",
+            job.image.header().cycle
+        ),
+    }
+}
+
+/// A machine's write-behind checkpoint writer: one thread, started by
+/// the first image, that writes images in the order they were built.
+///
+/// Images travel over a zero-capacity (rendezvous) channel, and the
+/// thread takes the next one only after finishing the previous, so at
+/// most one image is in flight. [`Writer::wait_idle`] returns once
+/// every image handed over is durable; dropping the writer does the
+/// same and joins the thread, so a machine that is dropped — killed,
+/// or unwinding from a panic — leaves its directory fully written.
+#[derive(Default)]
+pub(crate) struct Writer {
+    tx: Option<SyncSender<Msg>>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Writer {
+    /// Hands `image` over to be written to `path`, then pruned to the
+    /// newest `keep` checkpoints (`0` = unbounded). Blocks while the
+    /// previous image is still being written.
+    pub(crate) fn submit(&mut self, image: SnapshotBuilder, path: PathBuf, keep: usize) {
+        let tx = self.tx.get_or_insert_with(|| {
+            let (tx, rx) = std::sync::mpsc::sync_channel(0);
+            self.thread = Some(std::thread::spawn(move || {
+                for msg in rx {
+                    if let Msg::Write(job) = msg {
+                        write_job(job);
+                    }
+                }
+            }));
+            tx
+        });
+        let job = Job { image, path, keep };
+        // The writer thread is gone only if it panicked: write inline.
+        if let Err(SendError(Msg::Write(job))) = tx.send(Msg::Write(job)) {
+            write_job(job);
+        }
+    }
+
+    /// Blocks until every image handed over so far is written, synced,
+    /// renamed and pruned.
+    pub(crate) fn wait_idle(&self) {
+        if let Some(tx) = &self.tx {
+            // The thread receives again only after finishing its job.
+            let _ = tx.send(Msg::Barrier);
+        }
+    }
+}
+
+impl Drop for Writer {
+    fn drop(&mut self) {
+        // Closing the channel ends the thread after its last job.
+        self.tx = None;
+        if let Some(t) = self.thread.take() {
+            let _ = t.join();
+        }
+    }
 }
 
 #[cfg(test)]

@@ -218,6 +218,8 @@ pub struct Sim<A: NodeAgent> {
     /// (`Cycle::MAX` when checkpointing is off — the event loop then
     /// pays exactly one integer compare per event).
     pub(crate) next_ckpt: Cycle,
+    /// Writes periodic checkpoints behind the run.
+    pub(crate) ckpt_writer: checkpoint::Writer,
     /// Provenance of the checkpoint this machine was restored from
     /// (`None` for a machine built from scratch).
     pub(crate) restored_from: Option<(String, Cycle)>,
@@ -434,6 +436,7 @@ impl<A: NodeAgent> Sim<A> {
             ckpt_dir: std::path::PathBuf::new(),
             ckpt_keep: 0,
             next_ckpt: Cycle::MAX,
+            ckpt_writer: checkpoint::Writer::default(),
             restored_from: None,
             workload_fp: 0,
             partition: None,
@@ -492,17 +495,11 @@ impl<A: NodeAgent> Sim<A> {
         self.flight.as_mut()
     }
 
-    /// Applies the retention bound to `dir` (no-op when unbounded).
-    fn prune_checkpoints(&self, dir: &std::path::Path) {
-        if self.ckpt_keep > 0 {
-            checkpoint::prune_checkpoints(dir, self.ckpt_keep);
-        }
-    }
-
-    /// Writes a checkpoint if the next pending event crosses the
+    /// Takes a checkpoint if the next pending event crosses the
     /// checkpoint boundary (and is still under the run's cycle cap),
-    /// then advances the boundary. Called between events, so the
-    /// snapshot captures a consistent machine with the queue intact.
+    /// then advances the boundary. Called between events, so the image
+    /// captures a consistent machine with the queue intact; the
+    /// checkpoint writer makes it durable behind the run.
     pub(crate) fn maybe_checkpoint(&mut self, cap: Cycle) {
         let every = self.ckpt_every;
         if every == 0 {
@@ -518,12 +515,7 @@ impl<A: NodeAgent> Sim<A> {
             return;
         };
         let path = self.ckpt_dir.join(format!("ckpt-{pt:012}.ringsnap"));
-        match image.write_atomic(&path) {
-            // Prune only after a *successful* atomic write: a failed
-            // write must never shrink the set of restore candidates.
-            Ok(()) => self.prune_checkpoints(&self.ckpt_dir),
-            Err(e) => eprintln!("checkpoint at cycle {pt} failed: {e}"),
-        }
+        self.ckpt_writer.submit(image, path, self.ckpt_keep);
         self.next_ckpt = (pt / every + 1) * every;
     }
 
@@ -535,6 +527,26 @@ impl<A: NodeAgent> Sim<A> {
         self.trace_enabled = true;
         for a in &mut self.agents {
             a.set_tracing(true);
+        }
+    }
+
+    /// Flushes and removes the trace sink. Event collection falls back
+    /// to what the configuration asks for
+    /// ([`MachineConfig::check_invariants`], [`MachineConfig::trace_lines`]);
+    /// when that is nothing, the stall-report ring of recent events is
+    /// cleared too, so from here on the machine is one that was never
+    /// traced. Like installing a sink, this never changes simulated
+    /// behavior.
+    pub fn remove_trace_sink(&mut self) {
+        if let Some(mut s) = self.sink.take() {
+            let _ = s.flush();
+        }
+        self.trace_enabled = self.cfg.check_invariants || !self.cfg.trace_lines.is_empty();
+        if !self.trace_enabled {
+            self.recent.clear();
+        }
+        for a in &mut self.agents {
+            a.set_tracing(self.trace_enabled);
         }
     }
 
@@ -594,7 +606,8 @@ impl<A: NodeAgent> Sim<A> {
     /// with runnable events still queued (the trace sink is flushed at
     /// each yield so live subscribers observe progress), or
     /// [`RunProgress::Done`] once the run completes or reaches the
-    /// cycle cap.
+    /// cycle cap. `Done` and a stall are returned only once every
+    /// periodic checkpoint the run took is durable.
     ///
     /// # Errors
     ///
@@ -602,6 +615,15 @@ impl<A: NodeAgent> Sim<A> {
     /// [`Sim::try_run`]: watchdog expiry or a drained queue with
     /// unfinished cores.
     pub fn try_run_slice(&mut self, max_events: u64) -> Result<RunProgress, Box<StallReport>> {
+        let progress = self.run_slice(max_events);
+        if !matches!(progress, Ok(RunProgress::Yielded { .. })) {
+            self.ckpt_writer.wait_idle();
+        }
+        progress
+    }
+
+    /// The event loop of [`Sim::try_run_slice`].
+    fn run_slice(&mut self, max_events: u64) -> Result<RunProgress, Box<StallReport>> {
         let cap = if self.cfg.max_cycles == 0 {
             Cycle::MAX
         } else {
@@ -911,6 +933,14 @@ impl Machine {
     /// every reported statistic are byte-identical with or without it.
     /// Write failures are reported on stderr and the run continues (a
     /// full disk must not kill the simulation it is meant to protect).
+    ///
+    /// Each image is built at its cycle on the calling thread and
+    /// written behind the run by the machine's writer thread, one image
+    /// at a time, in order. Every image is durable once a run returns
+    /// [`RunProgress::Done`] or a stall, once [`Machine::checkpoint_now`]
+    /// returns, and once the machine is dropped; a crash before that
+    /// loses at most the one image in flight, whose `.tmp` file is never
+    /// a checkpoint candidate.
     pub fn enable_checkpoints(&mut self, every: Cycle, dir: impl Into<std::path::PathBuf>) {
         self.ckpt_dir = dir.into();
         self.ckpt_every = every;
@@ -944,10 +974,15 @@ impl Machine {
         &mut self,
         dir: &std::path::Path,
     ) -> Result<std::path::PathBuf, ring_snapshot::SnapshotError> {
+        // Written after every periodic image, so the trail stays in
+        // cycle order and the returned file is durable.
+        self.ckpt_writer.wait_idle();
         let b = self.snapshot();
         let path = dir.join(format!("ckpt-{:012}.ringsnap", b.header().cycle));
         b.write_atomic(&path)?;
-        self.prune_checkpoints(dir);
+        if self.ckpt_keep > 0 {
+            checkpoint::prune_checkpoints(dir, self.ckpt_keep);
+        }
         Ok(path)
     }
 
@@ -1401,6 +1436,9 @@ impl NodeAgent for RingAgent {
     }
 
     fn snapshot(m: &Machine, cycle: Cycle) -> Option<SnapshotBuilder> {
+        // Build only once the previous image is written: one image at a
+        // time is alive, not one in flight and one waiting.
+        m.ckpt_writer.wait_idle();
         Some(m.snapshot_at(cycle))
     }
 }

@@ -455,6 +455,16 @@ impl Machine {
         if workers == 0 || self.cfg.check_invariants {
             return self.try_run();
         }
+        let outcome = self.par_run(workers);
+        // As in the serial engine, the run ends once its checkpoints
+        // are durable.
+        self.ckpt_writer.wait_idle();
+        outcome
+    }
+
+    /// The parallel engine's run: spans between observation boundaries,
+    /// then the serial engine's tail.
+    fn par_run(&mut self, workers: usize) -> Result<Report, Box<StallReport>> {
         let nodes = self.cfg.nodes();
         let part = match self.partition.clone() {
             Some(p) => p,

@@ -13,7 +13,7 @@ use std::sync::{Arc, Mutex};
 use ring_coherence::ProtocolVariant;
 use ring_noc::{FaultPlan, FaultProfile};
 use ring_system::{HtMachine, Machine, MachineConfig, NodeAgent, RunProgress, Sim};
-use ring_trace::{TraceEvent, TraceSink};
+use ring_trace::{SharedBufferSink, TraceEvent, TraceSink};
 use ring_workloads::AppProfile;
 
 /// FNV-1a over every trace event's canonical JSONL rendering.
@@ -120,6 +120,52 @@ fn sliced_runs_are_byte_identical() {
     assert_slicing_is_unobservable("HT", || {
         HtMachine::new(cfg(ProtocolVariant::Eager, false), &profile())
     });
+}
+
+/// A sink removed between slices saw exactly a prefix of the full trace
+/// and sees nothing more, and the machine is then the one an untraced
+/// run has at that point: same snapshot bytes, same final report.
+#[test]
+fn removing_the_sink_mid_run_leaves_an_untraced_machine() {
+    let machine = || Machine::new(cfg(ProtocolVariant::Uncorq, false), &profile());
+    let full = SharedBufferSink::new();
+    let mut reference = machine();
+    reference.set_trace_sink(Box::new(full.clone()));
+    let want = reference.try_run().expect("reference run");
+    let all = full.snapshot();
+
+    let seen = SharedBufferSink::new();
+    let mut traced = machine();
+    traced.set_trace_sink(Box::new(seen.clone()));
+    let mut plain = machine();
+    for m in [&mut traced, &mut plain] {
+        assert!(matches!(
+            m.try_run_slice(5000),
+            Ok(RunProgress::Yielded { .. })
+        ));
+    }
+    traced.remove_trace_sink();
+    let prefix = seen.snapshot();
+    assert!(!prefix.is_empty() && prefix.len() < all.len());
+    assert!(all.starts_with(&prefix), "the sink saw more than a prefix");
+    assert!(
+        traced.snapshot().encode() == plain.snapshot().encode(),
+        "a machine whose sink was removed differs from an untraced one"
+    );
+
+    let report = |r: &ring_system::Report| {
+        let mut v = Vec::new();
+        r.write_stats(&mut v).expect("Vec write cannot fail");
+        v
+    };
+    let got = traced.try_run().expect("traced run");
+    assert_eq!(report(&got), report(&want));
+    assert_eq!(report(&plain.try_run().expect("plain run")), report(&want));
+    assert_eq!(
+        seen.snapshot().len(),
+        prefix.len(),
+        "a removed sink recorded"
+    );
 }
 
 /// Checkpoints written mid-run are identical whether the loop is sliced

@@ -302,3 +302,187 @@ fn retention_prunes_oldest_but_never_the_newest() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A fresh, empty scratch directory for one test.
+fn scratch_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("uncorq-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    dir
+}
+
+/// Every file name in `dir`, sorted.
+fn file_names(dir: &std::path::Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("checkpoint dir")
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
+/// Checkpoint images are written behind the run. "All written" means:
+/// the directory holds exactly the `want` files (no `.tmp` among them),
+/// at most `keep` of them, and the newest restores to a machine whose
+/// own snapshot is that file byte for byte.
+fn assert_durable(
+    dir: &std::path::Path,
+    want: &[String],
+    cfg: &MachineConfig,
+    profile: &AppProfile,
+    keep: usize,
+) {
+    let names = file_names(dir);
+    assert_eq!(names, want, "the checkpoint trail is incomplete");
+    assert!(!names.iter().any(|n| n.ends_with(".tmp")), "{names:?}");
+    let trail = uncorq::system::list_checkpoints(dir);
+    assert!(!trail.is_empty() && trail.len() <= keep, "{trail:?}");
+    let bytes = std::fs::read(&trail[0]).expect("newest checkpoint");
+    let restored = Machine::restore(cfg.clone(), profile, &trail[0]).expect("newest restores");
+    assert!(
+        restored.snapshot().encode() == bytes,
+        "{} does not restore byte-identically",
+        trail[0].display()
+    );
+}
+
+/// Write-behind keeps the durability contract: when a run returns
+/// `Done` or a stall, when `checkpoint_now` returns, and when a machine
+/// is dropped mid-run, every periodic checkpoint it took is on disk.
+///
+/// Each case is checked the moment it returns, against the trail of a
+/// second, identical run that was then made to wait for its writer
+/// (`checkpoint_now` into another directory). Uncorq+Pref images are
+/// megabytes, so a writer still busy at that moment would show.
+#[test]
+fn write_behind_checkpoints_are_durable_at_every_exit() {
+    const KEEP: usize = 3;
+    let profile = app();
+    let base = scratch_dir("write-behind");
+    let cfg = cfg_for(ProtocolVariant::UncorqPref, "clean", 2007);
+    let full = Machine::new(cfg.clone(), &profile)
+        .try_run()
+        .expect("reference run");
+    let mut stalling = cfg.clone();
+    stalling.watchdog_cycles = 50;
+
+    // (case, config, cadence, what the case does to a fresh machine)
+    type Case = fn(&mut Machine, &std::path::Path, u64);
+    let cases: [(&str, &MachineConfig, u64, Case); 4] = [
+        ("done", &cfg, full.exec_cycles / 8, |m, _, _| {
+            assert!(m.try_run().expect("no stall").finished);
+        }),
+        // A watchdog below the memory round trip trips on the first
+        // cold read, after a few 10-cycle checkpoints.
+        ("stall", &stalling, 10, |m, _, _| {
+            assert!(m.try_run().is_err(), "the watchdog must trip");
+        }),
+        ("now", &cfg, full.exec_cycles / 8, |m, dir, events| {
+            assert!(matches!(
+                m.try_run_slice(events / 2),
+                Ok(RunProgress::Yielded { .. })
+            ));
+            let path = m.checkpoint_now(dir).expect("on-demand snapshot");
+            assert_eq!(uncorq::system::list_checkpoints(dir)[0], path);
+        }),
+        ("drop", &cfg, full.exec_cycles / 8, |m, _, events| {
+            assert!(matches!(
+                m.try_run_slice(events * 3 / 4),
+                Ok(RunProgress::Yielded { .. })
+            ));
+        }),
+    ];
+    for (case, cfg, every, act) in cases {
+        let checkpointed = |dir: &std::path::Path| {
+            std::fs::create_dir_all(dir).expect("mkdir");
+            let mut m = Machine::new(cfg.clone(), &profile);
+            m.enable_checkpoints(every, dir);
+            m.set_checkpoint_retention(KEEP);
+            m
+        };
+        let (got, reference) = (base.join(case), base.join(format!("{case}-ref")));
+        let mut m = checkpointed(&reference);
+        act(&mut m, &reference, full.stats.events);
+        let wait = base.join(format!("{case}-wait"));
+        std::fs::create_dir_all(&wait).expect("mkdir");
+        m.checkpoint_now(&wait).expect("waiting snapshot");
+        let want = file_names(&reference);
+
+        let mut m = checkpointed(&got);
+        act(&mut m, &got, full.stats.events);
+        if case == "drop" {
+            drop(m);
+            assert_durable(&got, &want, cfg, &profile, KEEP);
+        } else {
+            assert_durable(&got, &want, cfg, &profile, KEEP);
+        }
+    }
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+/// The body of [`failed_periodic_write_logs_and_prunes_nothing`], run
+/// in a child process so its stderr can be read: mid-run, the
+/// checkpoint directory is moved aside and a regular file put in its
+/// place, so every later periodic write fails.
+#[test]
+#[ignore = "run in a child process by failed_periodic_write_logs_and_prunes_nothing"]
+fn failed_periodic_write_scenario() {
+    const KEEP: usize = 2;
+    let profile = app();
+    let cfg = cfg_for(ProtocolVariant::Uncorq, "clean", 2007);
+    let want = Machine::new(cfg.clone(), &profile)
+        .try_run()
+        .expect("reference run");
+    let base = scratch_dir("wb-fail");
+    let (dir, aside) = (base.join("ckpts"), base.join("aside"));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let mut m = Machine::new(cfg.clone(), &profile);
+    m.enable_checkpoints(want.exec_cycles / 8, &dir);
+    m.set_checkpoint_retention(KEEP);
+    assert!(matches!(
+        m.try_run_slice(want.stats.events / 2),
+        Ok(RunProgress::Yielded { .. })
+    ));
+    m.checkpoint_now(&dir).expect("on-demand snapshot");
+    let before = uncorq::system::list_checkpoints(&dir);
+    assert_eq!(before.len(), KEEP);
+
+    std::fs::rename(&dir, &aside).expect("move the directory aside");
+    std::fs::write(&dir, b"not a directory").expect("regular file");
+    let got = m.try_run().expect("failed writes never stop the run");
+    assert_eq!(report_bytes(&want), report_bytes(&got));
+    std::fs::remove_file(&dir).expect("remove the regular file");
+    std::fs::rename(&aside, &dir).expect("move the directory back");
+    let after = uncorq::system::list_checkpoints(&dir);
+    assert_eq!(before, after, "a failed write pruned the trail");
+    let names = file_names(&dir);
+    assert_durable(&dir, &names, &cfg, &profile, KEEP);
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+/// A periodic write that fails is logged with its cycle and prunes
+/// nothing; the run goes on.
+#[test]
+fn failed_periodic_write_logs_and_prunes_nothing() {
+    let out = std::process::Command::new(std::env::current_exe().expect("test binary"))
+        .args([
+            "--ignored",
+            "--exact",
+            "failed_periodic_write_scenario",
+            "--nocapture",
+        ])
+        .output()
+        .expect("run the scenario");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        out.status.success(),
+        "scenario failed:\n{}\n{stderr}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    let failed = stderr
+        .lines()
+        .filter(|l| l.starts_with("checkpoint at cycle ") && l.contains(" failed: "))
+        .count();
+    assert!(failed > 0, "no failed write was logged:\n{stderr}");
+}
