@@ -20,6 +20,7 @@ use bench::sweep::{default_grid, run_sweep};
 use bench::table;
 use ring_coherence::ProtocolVariant;
 use ring_stats::Align::{Left, Right};
+use ring_system::{parse_grid, PAPER_SEED};
 
 struct Args {
     apps: Vec<String>,
@@ -53,20 +54,10 @@ fn list<T>(v: &str, item: impl Fn(&str) -> Result<T, String>) -> Result<Vec<T>, 
     v.split(',').map(item).collect()
 }
 
-fn parse_grid(v: &str) -> Result<(usize, usize), String> {
-    let (w, h) = v
-        .split_once(['x', 'X'])
-        .ok_or_else(|| format!("grid expects WxH, got {v}"))?;
-    Ok((
-        w.parse().map_err(|e| format!("grid width: {e}"))?,
-        h.parse().map_err(|e| format!("grid height: {e}"))?,
-    ))
-}
-
 fn parse(mut argv: std::env::Args) -> Result<Args, String> {
     let mut a = Args {
         apps: vec!["fmm".into()],
-        seeds: vec![bench::SEED],
+        seeds: vec![PAPER_SEED],
         ops: 20_000,
         grids: vec![(4, 4), (8, 8)],
         protocols: ProtocolVariant::ALL.to_vec(),
@@ -83,7 +74,7 @@ fn parse(mut argv: std::env::Args) -> Result<Args, String> {
             "--apps" => a.apps = value()?.split(',').map(String::from).collect(),
             "--seeds" => a.seeds = list(&value()?, |s| parsed(&flag, s))?,
             "--ops" => a.ops = parsed(&flag, &value()?)?,
-            "--grids" => a.grids = list(&value()?, parse_grid)?,
+            "--grids" => a.grids = list(&value()?, |g| parse_grid(g).map_err(|e| e.to_string()))?,
             "--protocols" => {
                 a.protocols = list(&value()?, |s| {
                     ProtocolVariant::by_name(s).ok_or_else(|| format!("unknown protocol {s}"))

@@ -9,67 +9,33 @@
 pub mod paper;
 pub mod sweep;
 
-use ring_coherence::ProtocolKind;
 use ring_stats::{Align, Table};
-use ring_system::{HtMachine, Machine, MachineConfig, Report};
+use ring_system::{HtMachine, Machine, MachineConfig, Protocol, Report, RunSpec};
 use ring_workloads::AppProfile;
-
-/// Which machine/protocol a harness cell runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Proto {
-    /// One of the embedded-ring protocols.
-    Ring(ProtocolKind),
-    /// Uncorq plus the §5.4 prefetching optimization.
-    UncorqPref,
-    /// The HyperTransport-style baseline.
-    Ht,
-}
-
-impl Proto {
-    /// The five protocols Figure 9 plots, in order.
-    pub const FIG9: [Proto; 5] = [
-        Proto::Ring(ProtocolKind::Eager),
-        Proto::Ring(ProtocolKind::SupersetCon),
-        Proto::Ring(ProtocolKind::SupersetAgg),
-        Proto::Ring(ProtocolKind::Uncorq),
-        Proto::UncorqPref,
-    ];
-
-    /// Display name used in table headers.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Proto::Ring(ProtocolKind::Eager) => "Eager",
-            Proto::Ring(ProtocolKind::SupersetCon) => "SupersetCon",
-            Proto::Ring(ProtocolKind::SupersetAgg) => "SupersetAgg",
-            Proto::Ring(ProtocolKind::Uncorq) => "Uncorq",
-            Proto::UncorqPref => "Uncorq+Pref",
-            Proto::Ht => "HT",
-        }
-    }
-}
 
 /// Runs one cell on the paper's 64-node machine; a run that does not
 /// finish is an error naming the cell.
-pub fn run_cell(proto: Proto, profile: &AppProfile) -> Result<Report, String> {
+pub fn run_cell(proto: Protocol, profile: &AppProfile) -> Result<Report, String> {
     run_cell_with(proto, profile, "", |_| {})
 }
 
-/// [`run_cell`] on the paper configuration as changed by `tweak`;
-/// `variant` describes the change in the cell's name (e.g. `" at 4x4"`).
+/// [`run_cell`] on the paper machine ([`RunSpec::paper`]) as changed by
+/// `tweak`; `variant` describes the change in the cell's name (e.g.
+/// `" at 4x4"`).
 pub(crate) fn run_cell_with(
-    proto: Proto,
+    proto: Protocol,
     profile: &AppProfile,
     variant: &str,
     tweak: impl FnOnce(&mut MachineConfig),
 ) -> Result<Report, String> {
-    let mut cfg = config_for(proto);
+    let (mut cfg, _) = RunSpec::paper(proto).build().map_err(|e| e.to_string())?;
     tweak(&mut cfg);
     let report = match proto {
-        Proto::Ht => HtMachine::new(cfg, profile).run(),
-        _ => Machine::new(cfg, profile).run(),
+        Protocol::Ht => HtMachine::new(cfg, profile).run(),
+        Protocol::Ring(_) => Machine::new(cfg, profile).run(),
     };
     finished(
-        &format!("{} on {}{variant}", proto.name(), profile.name),
+        &format!("{} on {}{variant}", proto.label(), profile.name),
         report,
     )
 }
@@ -87,22 +53,6 @@ pub(crate) fn finished(cell: &str, report: Report) -> Result<Report, String> {
         ))
     }
 }
-
-/// The paper-machine configuration for a protocol selection, seeded
-/// with [`SEED`].
-pub fn config_for(proto: Proto) -> MachineConfig {
-    let mut cfg = match proto {
-        Proto::Ring(kind) => MachineConfig::paper(kind),
-        Proto::UncorqPref => MachineConfig::paper_uncorq_pref(),
-        // The HT machine reads only cache/net/mem parameters.
-        Proto::Ht => MachineConfig::paper(ProtocolKind::Eager),
-    };
-    cfg.seed = SEED;
-    cfg
-}
-
-/// The default seed used by all published tables.
-pub const SEED: u64 = 2007;
 
 /// Scales an application profile down when the `UNCORQ_FAST` environment
 /// variable is set (useful for smoke-testing every experiment).
@@ -138,37 +88,32 @@ pub fn table(columns: &[(&str, Align)]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ring_coherence::ProtocolVariant;
 
     #[test]
-    fn proto_names_unique() {
-        let mut names: Vec<_> = Proto::FIG9.iter().map(|p| p.name()).collect();
-        names.push(Proto::Ht.name());
-        let n = names.len();
-        names.dedup();
-        assert_eq!(names.len(), n);
-    }
-
-    #[test]
-    fn config_for_prefetch_sets_flag() {
-        assert!(config_for(Proto::UncorqPref).protocol.prefetch);
-        assert!(
-            !config_for(Proto::Ring(ProtocolKind::Uncorq))
-                .protocol
-                .prefetch
-        );
+    fn paper_cells_run_at_the_paper_seed_and_only_uncorq_pref_prefetches() {
+        for proto in Protocol::ALL {
+            let (cfg, _) = RunSpec::paper(proto).build().unwrap();
+            assert_eq!(cfg.seed, ring_system::PAPER_SEED);
+            assert_eq!(
+                cfg.protocol.prefetch,
+                proto == Protocol::Ring(ProtocolVariant::UncorqPref),
+                "{proto}"
+            );
+        }
     }
 
     #[test]
     fn unfinished_cell_fails_naming_it() {
         let profile = AppProfile::by_name("fmm").unwrap().scaled(100);
         let small = |c: &mut MachineConfig| (c.width, c.height) = (4, 4);
-        for proto in [Proto::Ring(ProtocolKind::Uncorq), Proto::Ht] {
+        for proto in [Protocol::Ring(ProtocolVariant::Uncorq), Protocol::Ht] {
             let err = run_cell_with(proto, &profile, " capped", |c| {
                 small(c);
                 c.max_cycles = 200;
             })
             .unwrap_err();
-            let cell = format!("cell {} on fmm capped did not finish", proto.name());
+            let cell = format!("cell {} on fmm capped did not finish", proto.label());
             assert!(err.starts_with(&cell), "{err}");
             assert!(run_cell_with(proto, &profile, "", small).is_ok());
         }

@@ -10,9 +10,10 @@ mod figures;
 mod studies;
 
 use ring_stats::{Histogram, Table};
+use ring_system::Protocol;
 use ring_workloads::AppProfile;
 
-use crate::{maybe_fast, run_cell, Proto};
+use crate::{maybe_fast, run_cell};
 
 /// One experiment of the registry.
 #[derive(Debug, Clone, Copy)]
@@ -120,7 +121,7 @@ fn vs(measured: f64, published: impl std::fmt::Display) -> String {
 /// prints the maximum.
 fn c2c_histogram(
     fig: &str,
-    proto: Proto,
+    proto: Protocol,
     profile: &AppProfile,
     with_max: bool,
 ) -> Result<Histogram, String> {
@@ -134,7 +135,7 @@ fn c2c_histogram(
         "Figure {fig} — cache-to-cache read miss latency in {} with {}\n\
          samples={} mean={:.0} p50={} p90={}{max}\n",
         profile.name,
-        proto.name(),
+        proto.label(),
         h.total(),
         h.mean(),
         h.percentile(50.0),

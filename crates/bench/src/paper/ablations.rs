@@ -2,14 +2,14 @@
 //! (or cannot) switch off in its own evaluation.
 
 use ring_cache::LineAddr;
-use ring_coherence::ProtocolKind::{Eager, Uncorq};
+use ring_coherence::ProtocolVariant::{Eager, Uncorq, UncorqPref};
 use ring_cpu::Op;
 use ring_stats::{Align::Left, Align::Right, Summary, Table};
-use ring_system::{Machine, MachineConfig};
+use ring_system::{Machine, MachineConfig, Protocol, RunSpec};
 use ring_workloads::AppProfile;
 
 use super::each_app;
-use crate::{app_arg, config_for, finished, run_cell, run_cell_with, table, Proto};
+use crate::{app_arg, finished, run_cell, run_cell_with, table};
 
 /// One setting of a ring knob: its row label and the change it makes.
 type Setting = (&'static str, fn(&mut MachineConfig));
@@ -24,12 +24,12 @@ fn ring_knob(header: &str, profile: &AppProfile, settings: [Setting; 2]) -> Resu
         ("Read miss lat", Right),
         ("Mem-path lat", Right),
     ]);
-    for kind in [Eager, Uncorq] {
+    for proto in [Protocol::Ring(Eager), Protocol::Ring(Uncorq)] {
         for (label, tweak) in settings {
-            let r = run_cell_with(Proto::Ring(kind), profile, &format!(", {label}"), tweak)?;
+            let r = run_cell_with(proto, profile, &format!(", {label}"), tweak)?;
             t.row(vec![
                 label.into(),
-                kind.to_string(),
+                proto.label().to_string(),
                 r.exec_cycles.to_string(),
                 format!("{:.0}", r.stats.read_latency.mean()),
                 format!("{:.0}", r.stats.read_latency_mem.mean()),
@@ -94,7 +94,7 @@ pub(super) fn ltt(_: &[String]) -> Result<(), String> {
         ("Peak LTT entries", Right),
     ]);
     each_app(|profile| {
-        let s = run_cell(Proto::Ring(Uncorq), profile)?.stats;
+        let s = run_cell(Protocol::Ring(Uncorq), profile)?.stats;
         t.row(vec![
             profile.name.clone(),
             s.transactions.to_string(),
@@ -130,7 +130,7 @@ pub(super) fn mem(args: &[String]) -> Result<(), String> {
     ]);
     for slots in [1usize, 4, 16, 64] {
         let mut row = vec![slots.to_string()];
-        for proto in [Proto::Ring(Uncorq), Proto::Ht] {
+        for proto in [Protocol::Ring(Uncorq), Protocol::Ht] {
             let variant = format!(" with {slots} controller slots");
             let r = run_cell_with(proto, &profile, &variant, |c| c.mem.max_in_flight = slots)?;
             row.push(format!("{:.0}", r.stats.read_latency_mem.mean()));
@@ -161,7 +161,7 @@ pub(super) fn npp(args: &[String]) -> Result<(), String> {
     ]);
     for entries in [0usize, 512, 2048, 8192, 32768] {
         let variant = format!(" with {entries} NPP entries");
-        let r = run_cell_with(Proto::UncorqPref, &profile, &variant, |c| {
+        let r = run_cell_with(Protocol::Ring(UncorqPref), &profile, &variant, |c| {
             c.protocol.npp_entries = entries
         })?;
         let s = &r.stats;
@@ -207,9 +207,12 @@ pub(super) fn read_transfer(args: &[String]) -> Result<(), String> {
         ("transferred (default)", false),
         ("kept at supplier (§5.5)", true),
     ] {
-        let r = run_cell_with(Proto::Ring(Uncorq), &profile, &format!(", {label}"), |c| {
-            c.protocol.reads_keep_supplier = keep
-        })?;
+        let r = run_cell_with(
+            Protocol::Ring(Uncorq),
+            &profile,
+            &format!(", {label}"),
+            |c| c.protocol.reads_keep_supplier = keep,
+        )?;
         t.row(vec![
             label.into(),
             r.exec_cycles.to_string(),
@@ -259,7 +262,9 @@ pub(super) fn winner(_: &[String]) -> Result<(), String> {
         ("Retry fairness (stddev)", Right),
     ]);
     for (label, node_id_only) in [("type > random > id", false), ("node-id only", true)] {
-        let mut cfg = config_for(Proto::Ring(Uncorq));
+        let (mut cfg, _) = RunSpec::paper(Protocol::Ring(Uncorq))
+            .build()
+            .map_err(|e| e.to_string())?;
         cfg.protocol.winner_node_id_only = node_id_only;
         let nodes = cfg.nodes();
         let mut m = Machine::with_streams(cfg, lock_streams(nodes, 120));

@@ -4,15 +4,16 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
 
-use ring_coherence::ProtocolKind::{Eager, Uncorq};
+use ring_coherence::ProtocolVariant::{self, Eager, Uncorq, UncorqPref};
 use ring_stats::{reduction_pct, Align::Left, Align::Right};
+use ring_system::Protocol;
 use ring_workloads::AppProfile;
 
 use super::{
     c2c_histogram, each_app, is_splash, per_app_table, vs, EXEC_IMPROVEMENT_SPECJBB,
     EXEC_IMPROVEMENT_SPECWEB, EXEC_IMPROVEMENT_SPLASH,
 };
-use crate::{app, app_arg, run_cell, table, Proto};
+use crate::{app, app_arg, run_cell, table};
 
 /// **Figure 5(b)**: for a cache-to-cache transfer, the *time to
 /// suppliership reception* (request propagation + snoop + suppliership
@@ -26,11 +27,11 @@ pub(super) fn fig5_anatomy(args: &[String]) -> Result<(), String> {
         ("Time to response (all reads)", Right),
     ]);
     let mut rows = Vec::new();
-    for proto in [Proto::Ring(Eager), Proto::Ring(Uncorq)] {
+    for proto in [Protocol::Ring(Eager), Protocol::Ring(Uncorq)] {
         let s = run_cell(proto, &profile)?.stats;
         let (supp, resp) = (s.read_latency_c2c.mean(), s.read_completion.mean());
         t.row(vec![
-            proto.name().to_string(),
+            proto.label().to_string(),
             format!("{supp:.0} cyc"),
             format!("{resp:.0} cyc"),
         ]);
@@ -56,8 +57,8 @@ pub(super) fn fig8_hist(args: &[String]) -> Result<(), String> {
     let profile = app_arg(args, "fmm")?;
     let csv_dir = std::env::var_os("UNCORQ_CSV_DIR");
     for (proto, fig, tag) in [
-        (Proto::Ring(Eager), "8(a)", "fig8a"),
-        (Proto::Ring(Uncorq), "8(b)", "fig8b"),
+        (Protocol::Ring(Eager), "8(a)", "fig8a"),
+        (Protocol::Ring(Uncorq), "8(b)", "fig8b"),
     ] {
         let h = c2c_histogram(fig, proto, &profile, true)?;
         if let Some(dir) = &csv_dir {
@@ -89,8 +90,8 @@ pub(super) fn fig8_table(_: &[String]) -> Result<(), String> {
     per_app_table(
         &mut t,
         |profile| {
-            let e = run_cell(Proto::Ring(Eager), profile)?.stats;
-            let u = run_cell(Proto::Ring(Uncorq), profile)?.stats;
+            let e = run_cell(Protocol::Ring(Eager), profile)?.stats;
+            let u = run_cell(Protocol::Ring(Uncorq), profile)?.stats;
             Ok(vec![
                 e.read_latency.mean(),
                 u.read_latency.mean(),
@@ -118,14 +119,15 @@ pub(super) fn fig8_table(_: &[String]) -> Result<(), String> {
 /// 22% and 13%; SupersetCon/Agg are slower than Eager on a single CMP.
 pub(super) fn fig9_exec_time(_: &[String]) -> Result<(), String> {
     let mut columns = vec![("Application", Left)];
-    columns.extend(Proto::FIG9.iter().map(|p| (p.name(), Right)));
+    let fig9 = ProtocolVariant::ALL.map(Protocol::Ring);
+    columns.extend(fig9.iter().map(|p| (p.label(), Right)));
     let mut t = table(&columns);
-    let mut norm_sums = [0.0f64; Proto::FIG9.len()];
-    let mut splash_norms = [0.0f64; Proto::FIG9.len()];
+    let mut norm_sums = [0.0f64; ProtocolVariant::ALL.len()];
+    let mut splash_norms = [0.0f64; ProtocolVariant::ALL.len()];
     each_app(|profile| {
         let mut cells = vec![profile.name.clone()];
         let mut base = 0.0;
-        for (i, &proto) in Proto::FIG9.iter().enumerate() {
+        for (i, &proto) in fig9.iter().enumerate() {
             let exec = run_cell(proto, profile)?.exec_cycles as f64;
             if i == 0 {
                 base = exec;
@@ -186,11 +188,11 @@ pub(super) fn fig10_prefetch(_: &[String]) -> Result<(), String> {
     per_app_table(
         &mut tb,
         |profile| {
-            let ul = run_cell(Proto::Ring(Uncorq), profile)?
+            let ul = run_cell(Protocol::Ring(Uncorq), profile)?
                 .stats
                 .read_latency
                 .mean();
-            let s = run_cell(Proto::UncorqPref, profile)?.stats;
+            let s = run_cell(Protocol::Ring(UncorqPref), profile)?.stats;
             let total = (s.pref_cache + s.nopref_cache + s.nopref_mem + s.pref_mem).max(1) as f64;
             let pct = |n: u64| format!("{:.1}", 100.0 * n as f64 / total);
             ta.row(vec![
@@ -219,8 +221,8 @@ pub(super) fn fig10_prefetch(_: &[String]) -> Result<(), String> {
 /// and (in parentheses) as published.
 pub(super) fn fig11_ht(_: &[String]) -> Result<(), String> {
     let fmm = app("fmm")?;
-    c2c_histogram("11(a)", Proto::Ring(Uncorq), &fmm, false)?;
-    c2c_histogram("11(b)", Proto::Ht, &fmm, false)?;
+    c2c_histogram("11(a)", Protocol::Ring(Uncorq), &fmm, false)?;
+    c2c_histogram("11(b)", Protocol::Ht, &fmm, false)?;
     let mut t = table(&[
         ("Application", Left),
         ("HT lat", Right),
@@ -230,8 +232,8 @@ pub(super) fn fig11_ht(_: &[String]) -> Result<(), String> {
     per_app_table(
         &mut t,
         |profile| {
-            let u = run_cell(Proto::Ring(Uncorq), profile)?.stats;
-            let ht = run_cell(Proto::Ht, profile)?.stats;
+            let u = run_cell(Protocol::Ring(Uncorq), profile)?.stats;
+            let ht = run_cell(Protocol::Ht, profile)?.stats;
             let (htl, ul) = (ht.read_latency.mean(), u.read_latency.mean());
             let ht_traf = ht.traffic.total_byte_hops() as f64;
             let u_traf = u.traffic.total_byte_hops() as f64;

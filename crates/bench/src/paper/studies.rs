@@ -3,13 +3,14 @@
 
 use ring_cache::{LineAddr, LineState};
 use ring_coherence::ProtocolKind::{self, Eager, Uncorq};
+use ring_coherence::ProtocolVariant;
 use ring_cpu::Op;
 use ring_noc::NodeId;
 use ring_stats::{Align::Left, Align::Right};
-use ring_system::{Machine, MachineConfig, Report};
+use ring_system::{Machine, MachineConfig, Protocol, Report};
 use ring_workloads::AppProfile;
 
-use crate::{app, app_arg, finished, maybe_fast, run_cell, run_cell_with, table, Proto};
+use crate::{app, app_arg, finished, maybe_fast, run_cell, run_cell_with, table};
 
 /// Calibration sweep: per-app latency and c2c fraction for each
 /// protocol, side by side with the paper's Figure 8(c) targets — the
@@ -30,10 +31,10 @@ pub(super) fn calibrate(args: &[String]) -> Result<(), String> {
     );
     let mut t = table(&columns);
     for p in profiles {
-        let e = run_cell(Proto::Ring(Eager), &p)?;
-        let u = run_cell(Proto::Ring(Uncorq), &p)?;
-        let up = run_cell(Proto::UncorqPref, &p)?;
-        let ht = run_cell(Proto::Ht, &p)?;
+        let e = run_cell(Protocol::Ring(ProtocolVariant::Eager), &p)?;
+        let u = run_cell(Protocol::Ring(ProtocolVariant::Uncorq), &p)?;
+        let up = run_cell(Protocol::Ring(ProtocolVariant::UncorqPref), &p)?;
+        let ht = run_cell(Protocol::Ht, &p)?;
         let (es, us, ups, hts) = (&e.stats, &u.stats, &up.stats, &ht.stats);
         // Paper c2c targets are encoded in the profile shares.
         let shared = p.shared_migratory + p.shared_read_mostly + p.shared_producer_consumer;
@@ -151,12 +152,15 @@ pub(super) fn sweep_scale(args: &[String]) -> Result<(), String> {
         ("Exec ratio U/E", Right),
     ]);
     for (w, h) in [(4usize, 4usize), (8, 4), (8, 8), (16, 8)] {
-        let run = |kind| {
-            run_cell_with(Proto::Ring(kind), &profile, &format!(" at {w}x{h}"), |c| {
-                (c.width, c.height) = (w, h)
-            })
+        let run = |variant| {
+            run_cell_with(
+                Protocol::Ring(variant),
+                &profile,
+                &format!(" at {w}x{h}"),
+                |c| (c.width, c.height) = (w, h),
+            )
         };
-        let (e, u) = (run(Eager)?, run(Uncorq)?);
+        let (e, u) = (run(ProtocolVariant::Eager)?, run(ProtocolVariant::Uncorq)?);
         let (ec2c, uc2c) = (
             e.stats.read_latency_c2c.mean(),
             u.stats.read_latency_c2c.mean(),

@@ -11,9 +11,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
 use ring_coherence::ProtocolVariant;
-use ring_system::{Machine, MachineConfig, Report};
+use ring_system::{Machine, Protocol, Report, RunSpec};
 use ring_trace::{TraceEvent, TraceSink};
-use ring_workloads::AppProfile;
 
 /// One cell of the sweep grid.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,13 +32,17 @@ pub struct SweepCell {
 }
 
 impl SweepCell {
-    /// The machine configuration this cell runs.
-    pub fn config(&self) -> MachineConfig {
-        let mut cfg = MachineConfig::with_protocol(self.variant.config());
-        cfg.width = self.width;
-        cfg.height = self.height;
-        cfg.seed = self.seed;
-        cfg
+    /// The run this cell describes: the paper machine with the cell's
+    /// protocol, application, geometry, seed and op count.
+    pub fn spec(&self) -> RunSpec {
+        RunSpec {
+            workload: self.app.clone(),
+            ops: Some(self.ops),
+            width: self.width,
+            height: self.height,
+            seed: self.seed,
+            ..RunSpec::paper(Protocol::Ring(self.variant))
+        }
     }
 
     /// Number of nodes in this cell's machine.
@@ -115,10 +118,11 @@ impl CellResult {
 /// (`<= 1` = serial engine, `> 1` = the conservative-PDES parallel
 /// engine, which must be digest-identical to serial).
 pub fn run_cell(cell: &SweepCell, workers: usize) -> CellResult {
-    let profile = AppProfile::by_name(&cell.app)
-        .unwrap_or_else(|| panic!("unknown app profile {}", cell.app))
-        .scaled(cell.ops);
-    let mut m = Machine::new(cell.config(), &profile);
+    let (cfg, profile) = cell
+        .spec()
+        .build()
+        .unwrap_or_else(|e| panic!("cell {}: {e}", cell.label()));
+    let mut m = Machine::new(cfg, &profile);
     let report = if workers > 1 {
         m.run_parallel(workers)
     } else {

@@ -521,7 +521,7 @@ mod tests {
         assert!(scan_file(&file("crates/bench/src/sweep.rs", body))
             .iter()
             .all(|h| h.rule != "no-wallclock"));
-        assert!(scan_file(&file("src/bin/ringprof.rs", body))
+        assert!(scan_file(&file("src/bin/chaoscheck.rs", body))
             .iter()
             .all(|h| h.rule != "no-wallclock"));
     }
@@ -607,7 +607,7 @@ mod tests {
         for rel in [
             "crates/system/src/x.rs",
             "crates/bench/src/sweep.rs",
-            "src/bin/ringprof.rs",
+            "src/bin/chaoscheck.rs",
             "crates/server/src/supervisor.rs",
         ] {
             assert!(
@@ -645,7 +645,7 @@ mod tests {
 
     #[test]
     fn binaries_without_deny_attr_are_workspace_findings() {
-        let bare = file("src/bin/ringprof.rs", "fn main() {}\n");
+        let bare = file("src/bin/chaoscheck.rs", "fn main() {}\n");
         let armed = file(
             "crates/server/src/bin/ringd.rs",
             "#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]\n\
@@ -657,7 +657,7 @@ mod tests {
             .filter(|h| h.rule == "missing-clippy-deny")
             .collect();
         assert_eq!(denies.len(), 1, "{denies:?}");
-        assert_eq!(denies[0].rel_path, "src/bin/ringprof.rs");
+        assert_eq!(denies[0].rel_path, "src/bin/chaoscheck.rs");
     }
 
     #[test]

@@ -19,7 +19,8 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use ring_server::json::Json;
-use ring_server::{Client, Command, ErrorKind, RetryPolicy, SessionSpec, WireError};
+use ring_server::{session_base, Client, Command, ErrorKind, RetryPolicy, WireError};
+use ring_system::{RunSpec, SpecFlags};
 
 const USAGE: &str = "\
 ringctl — client for the ringd simulation daemon
@@ -28,9 +29,7 @@ USAGE:
   ringctl --socket PATH [--retries N] [--seed N] COMMAND
 
 COMMANDS:
-  create NAME [--variant V] [--workload W] [--scale N] [--width N]
-              [--height N] [--seed N] [--max-cycles N] [--watchdog N]
-              [--chaos] [--inject-panic-at N]
+  create NAME [RUN FLAGS] [--inject-panic-at N]
   start NAME                 run (or queue) the session
   pause NAME                 hold at the next event boundary
   step NAME EVENTS           execute exactly EVENTS events
@@ -43,38 +42,47 @@ COMMANDS:
   shutdown                   drain and stop the daemon
 ";
 
+fn usage() -> String {
+    let b = session_base();
+    format!(
+        "{USAGE}\nRUN FLAGS (the session base is {} on {}, {}x{}, --ops {}, --max-cycles {},\n\
+         --watchdog {}, --seed {}):\n{}",
+        b.protocol,
+        b.workload,
+        b.width,
+        b.height,
+        b.ops.unwrap_or_default(),
+        b.max_cycles,
+        b.watchdog,
+        b.seed,
+        SpecFlags::usage()
+    )
+}
+
 fn parse_u64(raw: &str, what: &str) -> Result<u64, String> {
     raw.parse()
         .map_err(|_| format!("{what} needs a number, got `{raw}`"))
 }
 
-fn build_spec(args: &[String]) -> Result<SessionSpec, String> {
-    let mut spec = SessionSpec::default();
+/// `create`'s options: the run flags on the session base, plus the
+/// panic drill's `--inject-panic-at`.
+fn create_spec(args: &[String]) -> Result<(RunSpec, Option<u64>), WireError> {
+    let usage_err = |msg: String| WireError::new(ErrorKind::BadFrame, msg);
+    let spec_err = |e: ring_system::SpecError| WireError::new(ErrorKind::BadSpec, e.to_string());
+    let mut flags = SpecFlags::default();
+    let mut panic_at = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut val = |what: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{what} needs a value"))
-        };
-        match arg.as_str() {
-            "--variant" => spec.variant = val("--variant")?.clone(),
-            "--workload" => spec.workload = val("--workload")?.clone(),
-            "--scale" => spec.scale = parse_u64(val("--scale")?, "--scale")?,
-            "--width" => spec.width = parse_u64(val("--width")?, "--width")? as usize,
-            "--height" => spec.height = parse_u64(val("--height")?, "--height")? as usize,
-            "--seed" => spec.seed = parse_u64(val("--seed")?, "--seed")?,
-            "--max-cycles" => spec.max_cycles = parse_u64(val("--max-cycles")?, "--max-cycles")?,
-            "--watchdog" => {
-                spec.watchdog_cycles = parse_u64(val("--watchdog")?, "--watchdog")?;
-            }
-            "--chaos" => spec.chaos = true,
-            "--inject-panic-at" => {
-                spec.inject_panic_at =
-                    Some(parse_u64(val("--inject-panic-at")?, "--inject-panic-at")?);
-            }
-            other => return Err(format!("unknown create option `{other}`")),
+        if arg == "--inject-panic-at" {
+            let raw = it
+                .next()
+                .ok_or_else(|| usage_err("--inject-panic-at needs a value".into()))?;
+            panic_at = Some(parse_u64(raw, "--inject-panic-at").map_err(usage_err)?);
+        } else if !flags.take(arg, || it.next().cloned()).map_err(spec_err)? {
+            return Err(usage_err(format!("unknown create option `{arg}`")));
         }
     }
-    Ok(spec)
+    Ok((flags.finish(session_base()).map_err(spec_err)?, panic_at))
 }
 
 struct Invocation {
@@ -191,8 +199,12 @@ fn run(inv: &Invocation) -> Result<(), WireError> {
             let cmd = match verb {
                 "create" => {
                     let session = session_arg(&inv.rest, "create").map_err(usage_err)?;
-                    let spec = build_spec(&inv.rest[1..]).map_err(usage_err)?;
-                    Command::Create { session, spec }
+                    let (spec, inject_panic_at) = create_spec(&inv.rest[1..])?;
+                    Command::Create {
+                        session,
+                        spec,
+                        inject_panic_at,
+                    }
                 }
                 "start" => Command::Start {
                     session: session_arg(&inv.rest, verb).map_err(usage_err)?,
@@ -238,11 +250,11 @@ fn main() -> ExitCode {
         Ok(i) => i,
         Err(msg) => {
             if msg.is_empty() {
-                print!("{USAGE}");
+                print!("{}", usage());
                 return ExitCode::SUCCESS;
             }
             eprintln!("ringctl: {msg}");
-            eprint!("{USAGE}");
+            eprint!("{}", usage());
             return ExitCode::from(2);
         }
     };

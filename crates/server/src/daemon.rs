@@ -250,7 +250,11 @@ fn dispatch(
 ) -> Result<Vec<(&'static str, crate::json::Json)>, WireError> {
     let mut sup = lock_sup(sup);
     match cmd {
-        Command::Create { session, spec } => sup.create(&session, spec),
+        Command::Create {
+            session,
+            spec,
+            inject_panic_at,
+        } => sup.create(&session, spec, inject_panic_at),
         Command::Start { session } => sup.start(&session),
         Command::Pause { session } => sup.pause(&session),
         Command::Step { session, events } => sup.step(&session, events),

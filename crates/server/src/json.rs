@@ -4,11 +4,12 @@
 //! its own parser instead of pulling one in. It is deliberately small:
 //! objects decode into `BTreeMap` (deterministic iteration — encoding a
 //! value twice yields identical bytes, and the ringlint hash-map rules
-//! stay satisfied), numbers are `f64` (every integer the protocol
-//! carries fits exactly; 64-bit hashes travel as hex strings), and a
-//! recursion-depth cap turns adversarially nested frames into a typed
-//! error instead of a stack overflow — a daemon must survive any bytes
-//! a client writes.
+//! stay satisfied), non-negative integer literals that fit a `u64`
+//! decode exactly as [`Json::Uint`] (seeds and cycle counts use the
+//! whole 64-bit range, which an `f64` cannot carry past 2^53), every
+//! other number is an `f64`, and a recursion-depth cap turns
+//! adversarially nested frames into a typed error instead of a stack
+//! overflow — a daemon must survive any bytes a client writes.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -24,7 +25,9 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number.
+    /// A non-negative integer literal, exactly.
+    Uint(u64),
+    /// Any other JSON number.
     Num(f64),
     /// A string.
     Str(String),
@@ -88,6 +91,7 @@ impl Json {
     /// `u64` represents exactly.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
+            Json::Uint(n) => Some(*n),
             Json::Num(n) if n.fract() == 0.0 && *n >= 0.0 && *n <= 9.007_199_254_740_992e15 => {
                 Some(*n as u64)
             }
@@ -116,6 +120,7 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
+            Json::Uint(n) => out.push_str(&n.to_string()),
             Json::Num(n) => {
                 if n.fract() == 0.0 && n.abs() < 9.0e15 {
                     out.push_str(&format!("{}", *n as i64));
@@ -255,6 +260,9 @@ impl<'a> Parser<'a> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("number is not UTF-8"))?;
+        if let Ok(n) = text.parse::<u64>() {
+            return Ok(Json::Uint(n));
+        }
         text.parse::<f64>()
             .ok()
             .filter(|n| n.is_finite())
@@ -407,6 +415,14 @@ mod tests {
         assert_eq!(spec.get("chaos").and_then(Json::as_bool), Some(false));
         // Render → parse is a fixpoint.
         assert_eq!(Json::parse(&v.render()).unwrap(), v);
+        // Integers past 2^53 survive exactly, up to u64::MAX.
+        for n in [(1u64 << 53) + 1, u64::MAX] {
+            let text = format!(r#"{{"spec":{{"seed":{n}}}}}"#);
+            let v = Json::parse(&text).unwrap();
+            let seed = v.get("spec").and_then(|s| s.get("seed"));
+            assert_eq!(seed.and_then(Json::as_u64), Some(n));
+            assert_eq!(v.render(), text);
+        }
     }
 
     #[test]
@@ -463,6 +479,7 @@ mod tests {
         assert_eq!(Json::parse("-1").unwrap().as_u64(), None);
         assert_eq!(Json::parse("1.5").unwrap().as_u64(), None);
         assert_eq!(Json::parse("1e300").unwrap().as_u64(), None);
+        assert_eq!(Json::parse("18446744073709551616").unwrap().as_u64(), None);
     }
 
     #[test]

@@ -39,11 +39,9 @@ pub mod daemon;
 pub mod json;
 pub mod proto;
 pub mod session;
-pub mod spec;
 pub mod supervisor;
 pub mod worker;
 
 pub use client::{Client, RetryPolicy};
-pub use proto::{Command, ErrorKind, Reply, Request, WireError, PROTO_VERSION};
-pub use spec::{SessionSpec, SpecError};
+pub use proto::{session_base, Command, ErrorKind, Reply, Request, WireError, PROTO_VERSION};
 pub use supervisor::{ServerConfig, Supervisor};

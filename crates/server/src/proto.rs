@@ -15,13 +15,129 @@
 //! ← {"v":1,"id":"2","ok":false,"error":{"kind":"queue-full","detail":"..."}}
 //! ```
 
+use std::collections::BTreeMap;
 use std::fmt;
 
+use ring_coherence::ProtocolVariant;
+use ring_system::{field, FieldKind, FieldValue, Protocol, RunSpec, SpecError, FIELDS};
+
 use crate::json::{obj, Json};
-use crate::spec::SessionSpec;
 
 /// The one protocol version this build speaks.
 pub const PROTO_VERSION: u64 = 1;
+
+/// The daemon-only drill key of a session spec: the worker panics once
+/// when the session first reaches this cycle, so supervision drills are
+/// deterministic. It describes the daemon's test, not the machine, so
+/// it is no [`RunSpec`] field.
+pub const INJECT_PANIC_AT: &str = "inject_panic_at";
+
+/// The base every session spec is read on: uncorq on `fmm`, a 4×4
+/// machine, 120 ops per core, a 50 M-cycle cap and a 2 M-cycle
+/// watchdog, at seed 2007.
+pub fn session_base() -> RunSpec {
+    RunSpec {
+        ops: Some(120),
+        width: 4,
+        height: 4,
+        max_cycles: 50_000_000,
+        watchdog: 2_000_000,
+        ..RunSpec::paper(Protocol::Ring(ProtocolVariant::Uncorq))
+    }
+}
+
+/// Reads a session spec's key → text map (a manifest's fields, or a
+/// create frame's members as text) on [`session_base`], taking the
+/// drill key out first.
+///
+/// # Errors
+///
+/// The typed [`SpecError`] of the first key that does not read.
+pub(crate) fn session_spec(
+    mut fields: BTreeMap<String, String>,
+) -> Result<(RunSpec, Option<u64>), SpecError> {
+    let panic_at = fields
+        .remove(INJECT_PANIC_AT)
+        .map(|text| {
+            text.parse().map_err(|_| SpecError::BadValue {
+                key: INJECT_PANIC_AT,
+                value: text,
+                expected: "a cycle count",
+            })
+        })
+        .transpose()?;
+    Ok((RunSpec::from_fields(session_base(), &fields)?, panic_at))
+}
+
+/// The inverse of [`session_spec`]: the fields a manifest records.
+pub(crate) fn spec_fields(
+    spec: &RunSpec,
+    inject_panic_at: Option<u64>,
+) -> BTreeMap<String, String> {
+    let mut fields = spec.to_fields();
+    if let Some(cycle) = inject_panic_at {
+        fields.insert(INJECT_PANIC_AT.to_string(), cycle.to_string());
+    }
+    fields
+}
+
+/// A create frame's `spec` object: one member per field-table row,
+/// typed by the row's kind, plus the drill key.
+fn spec_json(spec: &RunSpec, inject_panic_at: Option<u64>) -> Json {
+    let mut members: BTreeMap<String, Json> = FIELDS
+        .iter()
+        .filter_map(|f| {
+            let v = match (f.write)(spec)? {
+                FieldValue::Uint(n) => Json::Uint(n),
+                FieldValue::Bool(b) => Json::Bool(b),
+                FieldValue::Text(t) => Json::Str(t),
+            };
+            Some((f.key.to_string(), v))
+        })
+        .collect();
+    if let Some(cycle) = inject_panic_at {
+        members.insert(INJECT_PANIC_AT.to_string(), Json::Uint(cycle));
+    }
+    Json::Obj(members)
+}
+
+/// Reads a create frame's `spec` object: a string for a text row, an
+/// integer or a boolean for any other key; then as [`session_spec`].
+fn spec_from_json(v: &Json) -> Result<(RunSpec, Option<u64>), SpecError> {
+    let Json::Obj(members) = v else {
+        return Err(SpecError::BadValue {
+            key: "spec",
+            value: v.render(),
+            expected: "an object",
+        });
+    };
+    let mut fields = BTreeMap::new();
+    for (key, value) in members {
+        let (key, kind) = match field(key) {
+            Some(f) => (f.key, f.kind),
+            None if key == INJECT_PANIC_AT => (INJECT_PANIC_AT, FieldKind::Uint),
+            None => return Err(SpecError::UnknownKey(key.clone())),
+        };
+        let text = match (value, kind) {
+            (Json::Str(s), FieldKind::Text) => s.clone(),
+            (Json::Uint(n), FieldKind::Uint | FieldKind::Bool) => n.to_string(),
+            (Json::Bool(b), FieldKind::Uint | FieldKind::Bool) => b.to_string(),
+            (other, _) => {
+                return Err(SpecError::BadValue {
+                    key,
+                    value: other.render(),
+                    expected: if kind == FieldKind::Text {
+                        "a string"
+                    } else {
+                        "a non-negative integer or a boolean"
+                    },
+                })
+            }
+        };
+        fields.insert(key.to_string(), text);
+    }
+    session_spec(fields)
+}
 
 /// Typed failure classes a response can carry. The wire name is the
 /// kebab-case form ([`ErrorKind::name`]); clients branch on it, never
@@ -132,7 +248,9 @@ pub enum Command {
         /// Session name (also its state-directory name).
         session: String,
         /// What to simulate.
-        spec: SessionSpec,
+        spec: RunSpec,
+        /// Drill: the cycle at which the worker panics once.
+        inject_panic_at: Option<u64>,
     },
     /// Start (or resume) a session, subject to run-slot admission.
     Start {
@@ -258,11 +376,12 @@ impl Request {
                 let spec_json = v
                     .get("spec")
                     .ok_or_else(|| fail(ErrorKind::BadFrame, "missing `spec`".into()))?;
-                let spec = SessionSpec::from_json(spec_json)
+                let (spec, inject_panic_at) = spec_from_json(spec_json)
                     .map_err(|e| fail(ErrorKind::BadSpec, e.to_string()))?;
                 Command::Create {
                     session: session()?,
                     spec,
+                    inject_panic_at,
                 }
             }
             "start" => Command::Start {
@@ -314,14 +433,18 @@ impl Request {
     /// Renders the request as one frame line (the client side).
     pub fn render(&self) -> String {
         let mut fields: Vec<(&str, Json)> = vec![
-            ("v", Json::Num(PROTO_VERSION as f64)),
+            ("v", Json::Uint(PROTO_VERSION)),
             ("id", Json::Str(self.id.clone())),
             ("cmd", Json::Str(self.cmd.name().to_string())),
         ];
         match &self.cmd {
-            Command::Create { session, spec } => {
+            Command::Create {
+                session,
+                spec,
+                inject_panic_at,
+            } => {
                 fields.push(("session", Json::Str(session.clone())));
-                fields.push(("spec", spec.to_json()));
+                fields.push(("spec", spec_json(spec, *inject_panic_at)));
             }
             Command::Start { session }
             | Command::Pause { session }
@@ -332,7 +455,7 @@ impl Request {
             }
             Command::Step { session, events } => {
                 fields.push(("session", Json::Str(session.clone())));
-                fields.push(("events", Json::Num(*events as f64)));
+                fields.push(("events", Json::Uint(*events)));
             }
             Command::Status { session } => {
                 if let Some(s) = session {
@@ -341,7 +464,7 @@ impl Request {
             }
             Command::Subscribe { session, buffer } => {
                 fields.push(("session", Json::Str(session.clone())));
-                fields.push(("buffer", Json::Num(*buffer as f64)));
+                fields.push(("buffer", Json::Uint(*buffer)));
             }
             Command::Shutdown => {}
         }
@@ -352,7 +475,7 @@ impl Request {
 /// Renders a success response with extra payload fields.
 pub fn ok_frame(id: &str, mut fields: Vec<(&str, Json)>) -> String {
     let mut all: Vec<(&str, Json)> = vec![
-        ("v", Json::Num(PROTO_VERSION as f64)),
+        ("v", Json::Uint(PROTO_VERSION)),
         ("id", Json::Str(id.to_string())),
         ("ok", Json::Bool(true)),
     ];
@@ -363,7 +486,7 @@ pub fn ok_frame(id: &str, mut fields: Vec<(&str, Json)>) -> String {
 /// Renders an error response.
 pub fn err_frame(id: &str, err: &WireError) -> String {
     obj(vec![
-        ("v", Json::Num(PROTO_VERSION as f64)),
+        ("v", Json::Uint(PROTO_VERSION)),
         ("id", Json::Str(id.to_string())),
         ("ok", Json::Bool(false)),
         (
@@ -437,13 +560,256 @@ impl Reply {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ring_system::{config_hash, workload_fingerprint, MachineConfigError, SpecFlags};
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    /// `ringctl create` flags on the session base.
+    fn ctl(line: &str) -> RunSpec {
+        SpecFlags::parse(session_base(), &args(line)).unwrap()
+    }
+
+    /// A create frame with `spec` as its members.
+    fn create_line(spec: &str) -> String {
+        format!(r#"{{"v":1,"id":"1","cmd":"create","session":"a","spec":{spec}}}"#)
+    }
+
+    /// Every row of the field table set away from the session base
+    /// (`u64::MAX` for the seed, past 2^53 for the chaos seed).
+    const EVERY_ROW: &str = "--protocol eager --app fft --ops 77 --width 3 --height 5 \
+        --seed 18446744073709551615 --max-cycles 123456 --watchdog 999 \
+        --chaos 9007199254740993 --chaos-profile drop5 --reliable --dual-rings \
+        --row-major-ring --check-invariants --trace-line 0x2a";
+
+    #[test]
+    fn every_row_round_trips_flags_json_and_manifest_fields() {
+        let flags = args(EVERY_ROW);
+        for f in FIELDS {
+            assert!(
+                f.flags.iter().any(|fl| flags.iter().any(|a| a == fl)),
+                "row {} has no sample flag",
+                f.key
+            );
+        }
+        let spec = ctl(EVERY_ROW);
+        // Naming every field (no `..`) makes a new RunSpec field fail to
+        // compile here; setting it away from the base needs a table row.
+        let base = session_base();
+        let RunSpec {
+            protocol,
+            workload,
+            ops,
+            width,
+            height,
+            seed,
+            max_cycles,
+            watchdog,
+            chaos,
+            chaos_profile,
+            reliable,
+            dual_rings,
+            row_major_ring,
+            check_invariants,
+            trace_line,
+        } = &spec;
+        assert_ne!(*protocol, base.protocol);
+        assert_ne!(*workload, base.workload);
+        assert_ne!(*ops, base.ops);
+        assert_ne!(*width, base.width);
+        assert_ne!(*height, base.height);
+        assert_eq!(*seed, u64::MAX);
+        assert_ne!(*max_cycles, base.max_cycles);
+        assert_ne!(*watchdog, base.watchdog);
+        assert_eq!(*chaos, Some((1 << 53) + 1));
+        assert_ne!(*chaos_profile, base.chaos_profile);
+        assert_ne!(*reliable, base.reliable);
+        assert_ne!(*dual_rings, base.dual_rings);
+        assert_ne!(*row_major_ring, base.row_major_ring);
+        assert_ne!(*check_invariants, base.check_invariants);
+        assert_ne!(*trace_line, base.trace_line);
+
+        let req = Request {
+            id: "1".into(),
+            cmd: Command::Create {
+                session: "a".into(),
+                spec: spec.clone(),
+                inject_panic_at: Some(u64::MAX),
+            },
+        };
+        let Command::Create {
+            spec: from_json,
+            inject_panic_at,
+            ..
+        } = Request::parse(&req.render()).unwrap().cmd
+        else {
+            panic!("a create frame parses as a create");
+        };
+        assert_eq!((&from_json, inject_panic_at), (&spec, Some(u64::MAX)));
+        let fields = spec_fields(&from_json, inject_panic_at);
+        assert_eq!(session_spec(fields), Ok((spec, Some(u64::MAX))));
+    }
+
+    /// `(config_hash, workload_fingerprint, max_cycles)` as the daemon
+    /// derived them from these `ringctl create` flags before sessions
+    /// were run descriptions: CI's ringd-smoke sessions, ringbench's
+    /// `ringd16` sessions (full and smoke scale), and the old bare
+    /// `--chaos` (now `--chaos SEED`, the seed the switch implied).
+    #[rustfmt::skip]
+    const RINGD_PINS: &[(&str, u64, u64, u64)] = &[
+        ("--scale 120 --seed 2007", 0x1b28_c496_ae0d_52ea, 0x5782_d403_3de4_1135, 50_000_000),
+        ("--variant eager --workload SPECweb --scale 3000 --width 4 --height 4 --seed 2007", 0x386a_c089_ff35_7bdb, 0x4cd7_d58c_f9ef_07fa, 50_000_000),
+        ("--variant supersetcon --workload SPECweb --scale 3000 --width 4 --height 4 --seed 2007", 0xc688_b21a_5321_b130, 0x4cd7_d58c_f9ef_07fa, 50_000_000),
+        ("--variant supersetagg --workload SPECweb --scale 3000 --width 4 --height 4 --seed 2007", 0x41d6_06d2_866a_b14d, 0x4cd7_d58c_f9ef_07fa, 50_000_000),
+        ("--variant uncorq --workload SPECweb --scale 3000 --width 4 --height 4 --seed 2007", 0x1b28_c496_ae0d_52ea, 0x4cd7_d58c_f9ef_07fa, 50_000_000),
+        ("--variant uncorq+pref --workload SPECweb --scale 3000 --width 4 --height 4 --seed 2007", 0xcf40_14f9_c5e1_e54d, 0x4cd7_d58c_f9ef_07fa, 50_000_000),
+        ("--variant uncorq+pref --workload SPECweb --scale 300 --width 4 --height 4 --seed 2007", 0xcf40_14f9_c5e1_e54d, 0x700f_be0a_cc84_d450, 50_000_000),
+        ("--variant eager --workload SPECweb --scale 300 --width 4 --height 4 --seed 2007", 0x386a_c089_ff35_7bdb, 0x700f_be0a_cc84_d450, 50_000_000),
+        ("--scale 40", 0x1b28_c496_ae0d_52ea, 0xfc22_f4b0_5c13_98a5, 50_000_000),
+        ("--chaos 2007 --scale 40", 0x5b0a_d84a_168f_55a7, 0xfc22_f4b0_5c13_98a5, 50_000_000),
+    ];
+
+    #[test]
+    fn ringctl_specs_derive_the_pinned_machines() {
+        for &(line, hash, fingerprint, max_cycles) in RINGD_PINS {
+            // Through the wire, as the daemon receives them.
+            let req = Request {
+                id: "1".into(),
+                cmd: Command::Create {
+                    session: "a".into(),
+                    spec: ctl(line),
+                    inject_panic_at: None,
+                },
+            };
+            let Command::Create { spec, .. } = Request::parse(&req.render()).unwrap().cmd else {
+                panic!("a create frame parses as a create");
+            };
+            let (cfg, profile) = spec.build().unwrap();
+            assert_eq!(
+                (
+                    config_hash(&cfg),
+                    workload_fingerprint(&profile),
+                    cfg.max_cycles
+                ),
+                (hash, fingerprint, max_cycles),
+                "{line}"
+            );
+        }
+    }
+
+    #[test]
+    fn default_spec_builds_a_16_node_machine() {
+        let (cfg, profile) = session_base().build().unwrap();
+        assert_eq!(cfg.nodes(), 16);
+        assert_eq!(profile.ops_per_core, 120);
+        assert_eq!(cfg.watchdog_cycles, 2_000_000);
+    }
+
+    #[test]
+    fn json_roundtrip_preserves_every_field() {
+        let spec = RunSpec {
+            protocol: Protocol::Ring(ProtocolVariant::UncorqPref),
+            chaos: Some(2007),
+            ops: Some(99),
+            ..session_base()
+        };
+        let back = spec_from_json(&spec_json(&spec, Some(40_000))).unwrap();
+        assert_eq!(back, (spec, Some(40_000)));
+    }
+
+    #[test]
+    fn manifest_fields_roundtrip() {
+        let spec = RunSpec {
+            protocol: Protocol::Ring(ProtocolVariant::Eager),
+            seed: 7,
+            ..session_base()
+        };
+        let back = session_spec(spec_fields(&spec, Some(1))).unwrap();
+        assert_eq!(back, (spec, Some(1)));
+    }
+
+    #[test]
+    fn unknown_names_are_typed() {
+        let err = |spec: &str| Request::parse(&create_line(spec)).unwrap_err().1;
+        let e = err(r#"{"variant":"warp"}"#);
+        assert_eq!(e.kind, ErrorKind::BadSpec);
+        assert_eq!(
+            e.detail,
+            SpecError::UnknownProtocol("warp".into()).to_string()
+        );
+        let e = err(r#"{"workload":"nosuchapp"}"#);
+        assert_eq!(
+            e.detail,
+            SpecError::UnknownWorkload("nosuchapp".into()).to_string()
+        );
+    }
+
+    #[test]
+    fn unknown_keys_are_bad_spec_naming_the_key() {
+        let (_, e) = Request::parse(&create_line(r#"{"sed":7}"#)).unwrap_err();
+        assert_eq!(e.kind, ErrorKind::BadSpec);
+        assert!(e.detail.contains("`sed`"), "{}", e.detail);
+        let mut fields = spec_fields(&session_base(), None);
+        fields.insert("sed".into(), "7".into());
+        assert_eq!(
+            session_spec(fields),
+            Err(SpecError::UnknownKey("sed".into()))
+        );
+    }
+
+    #[test]
+    fn invalid_geometry_is_a_machine_error() {
+        let bad = RunSpec {
+            width: 1,
+            ..session_base()
+        };
+        assert_eq!(
+            bad.build().unwrap_err(),
+            SpecError::Machine(MachineConfigError::TorusTooSmall)
+        );
+    }
+
+    #[test]
+    fn malformed_json_fields_are_typed() {
+        let v = Json::parse(r#"{"scale":"lots"}"#).unwrap();
+        assert!(matches!(
+            spec_from_json(&v),
+            Err(SpecError::BadValue { key: "scale", .. })
+        ));
+        let v = Json::parse(r#"{"scale":1.5}"#).unwrap();
+        assert!(matches!(
+            spec_from_json(&v),
+            Err(SpecError::BadValue { key: "scale", .. })
+        ));
+        let v = Json::parse(r#"{"variant":3}"#).unwrap();
+        assert!(matches!(
+            spec_from_json(&v),
+            Err(SpecError::BadValue { key: "variant", .. })
+        ));
+    }
+
+    #[test]
+    fn legacy_create_frames_still_parse() {
+        // Every member an older ringctl sent, `chaos` as a switch.
+        let line = create_line(
+            r#"{"variant":"uncorq","workload":"fmm","scale":40,"width":4,"height":4,
+                "seed":7,"max_cycles":50000000,"watchdog_cycles":2000000,"chaos":true}"#,
+        );
+        let Command::Create { spec, .. } = Request::parse(&line).unwrap().cmd else {
+            panic!("a create frame parses as a create");
+        };
+        assert_eq!(spec.chaos, Some(7));
+        assert_eq!(spec.chaos_profile, None);
+    }
 
     #[test]
     fn every_command_roundtrips_through_the_wire() {
         let cmds = vec![
             Command::Create {
                 session: "a".into(),
-                spec: SessionSpec::default(),
+                spec: session_base(),
+                inject_panic_at: None,
             },
             Command::Start {
                 session: "a".into(),

@@ -29,13 +29,16 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use ring_snapshot::{SessionManifest, SnapshotError};
-use ring_system::{config_hash, list_checkpoints, restore_latest, workload_fingerprint, Machine};
+use ring_system::{
+    config_hash, list_checkpoints, restore_latest, workload_fingerprint, Machine, MachineConfig,
+    Protocol, RunSpec,
+};
 use ring_trace::{FanoutSink, Subscription};
+use ring_workloads::AppProfile;
 
 use crate::json::{obj, Json};
-use crate::proto::{ErrorKind, WireError};
+use crate::proto::{session_spec, spec_fields, ErrorKind, WireError};
 use crate::session::{check, SessionCmd, SessionState};
-use crate::spec::SessionSpec;
 use crate::worker::{self, lock, Ctl, Exited, Shared, Worker};
 
 /// File name of the per-session manifest.
@@ -81,7 +84,8 @@ impl ServerConfig {
 /// One admitted session.
 #[derive(Debug)]
 struct Entry {
-    spec: SessionSpec,
+    spec: RunSpec,
+    inject_panic_at: Option<u64>,
     dir: PathBuf,
     shared: Arc<Mutex<Shared>>,
     fanout: FanoutSink,
@@ -166,14 +170,19 @@ impl Supervisor {
                 shared: Arc::clone(&entry.shared),
                 fanout: entry.fanout.clone(),
                 slice: self.cfg.slice_events,
-                panic_at: entry.spec.inject_panic_at,
+                panic_at: entry.inject_panic_at,
                 exits: self.exits_tx.clone(),
             },
         )
     }
 
-    /// Admits a new session.
-    pub fn create(&mut self, name: &str, spec: SessionSpec) -> Result<Fields, WireError> {
+    /// Admits a new session; `inject_panic_at` arms the panic drill.
+    pub fn create(
+        &mut self,
+        name: &str,
+        spec: RunSpec,
+        inject_panic_at: Option<u64>,
+    ) -> Result<Fields, WireError> {
         validate_name(name)?;
         if self.sessions.contains_key(name) {
             return Err(WireError::new(
@@ -190,9 +199,7 @@ impl Supervisor {
                 ),
             ));
         }
-        let (cfg, profile) = spec
-            .build()
-            .map_err(|e| WireError::new(ErrorKind::BadSpec, e.to_string()))?;
+        let (cfg, profile) = build(&spec)?;
         let dir = self.cfg.state_root.join(name);
         std::fs::create_dir_all(&dir)
             .map_err(|e| WireError::new(ErrorKind::Internal, format!("mkdir failed: {e}")))?;
@@ -200,13 +207,14 @@ impl Supervisor {
             session: name.to_string(),
             config_hash: config_hash(&cfg),
             workload_fingerprint: workload_fingerprint(&profile),
-            fields: spec.to_fields(),
+            fields: spec_fields(&spec, inject_panic_at),
         };
         manifest
             .write_atomic(&dir.join(MANIFEST_FILE))
             .map_err(|e| WireError::new(ErrorKind::Snapshot, e.to_string()))?;
         let mut entry = Entry {
             spec,
+            inject_panic_at,
             dir,
             shared: Arc::new(Mutex::new(Shared::new())),
             fanout: FanoutSink::new(),
@@ -268,7 +276,7 @@ impl Supervisor {
         self.gate(name, SessionCmd::Step)?;
         let entry = self.entry(name)?;
         send_ctl(entry, Ctl::Step(events))?;
-        Ok(vec![("stepping", Json::Num(events as f64))])
+        Ok(vec![("stepping", Json::Uint(events))])
     }
 
     /// Writes an integrity-verified snapshot of a live session now.
@@ -305,10 +313,7 @@ impl Supervisor {
             let _ = w.handle.join();
         }
         let entry = self.entry(name)?;
-        let (cfg, profile) = entry
-            .spec
-            .build()
-            .map_err(|e| WireError::new(ErrorKind::BadSpec, e.to_string()))?;
+        let (cfg, profile) = build(&entry.spec)?;
         let (machine, from) = restore_latest(&cfg, &profile, &entry.dir)
             .map_err(|e| WireError::new(ErrorKind::Snapshot, e.to_string()))?;
         let cycle = machine.restored_from().map_or(0, |(_, c)| c);
@@ -328,7 +333,7 @@ impl Supervisor {
         }
         Ok(vec![
             ("restored_from", Json::Str(from.display().to_string())),
-            ("cycle", Json::Num(cycle as f64)),
+            ("cycle", Json::Uint(cycle)),
             ("state", Json::Str("paused".into())),
         ])
     }
@@ -462,8 +467,7 @@ impl Supervisor {
             ));
             return;
         }
-        let build = entry.spec.build();
-        let (cfg, profile) = match build {
+        let (cfg, profile) = match build(&entry.spec) {
             Ok(v) => v,
             Err(e) => {
                 let mut sh = lock(&entry.shared);
@@ -608,14 +612,14 @@ impl Supervisor {
             if self.sessions.contains_key(&name) || self.sessions.len() >= self.cfg.max_sessions {
                 continue;
             }
-            let spec = match SessionSpec::from_fields(&manifest.fields) {
+            let (spec, inject_panic_at) = match session_spec(manifest.fields) {
                 Ok(s) => s,
                 Err(e) => {
                     eprintln!("skipping {name}: manifest spec invalid: {e}");
                     continue;
                 }
             };
-            let (cfg, profile) = match spec.build() {
+            let (cfg, profile) = match build(&spec) {
                 Ok(v) => v,
                 Err(e) => {
                     eprintln!("skipping {name}: spec no longer builds: {e}");
@@ -649,6 +653,7 @@ impl Supervisor {
             };
             let mut entry = Entry {
                 spec,
+                inject_panic_at,
                 dir,
                 shared: Arc::new(Mutex::new(Shared {
                     state,
@@ -672,6 +677,20 @@ impl Supervisor {
     }
 }
 
+/// Derives a session's machine from its spec. HT is refused: sessions
+/// restart and resume from snapshots, and the HT machine has no
+/// snapshot codec.
+fn build(spec: &RunSpec) -> Result<(MachineConfig, AppProfile), WireError> {
+    if spec.protocol == Protocol::Ht {
+        return Err(WireError::new(
+            ErrorKind::BadSpec,
+            "ringd cannot host ht sessions: the HT machine has no snapshot codec",
+        ));
+    }
+    spec.build()
+        .map_err(|e| WireError::new(ErrorKind::BadSpec, e.to_string()))
+}
+
 fn send_ctl(entry: &Entry, msg: Ctl) -> Result<(), WireError> {
     match &entry.worker {
         Some(w) => w.ctl.send(msg).map_err(|_| {
@@ -692,8 +711,8 @@ fn session_fields(name: &str, entry: &Entry, queue: &VecDeque<String>) -> Fields
     let mut fields: Fields = vec![
         ("session", Json::Str(name.to_string())),
         ("state", Json::Str(sh.state.name().to_string())),
-        ("cycle", Json::Num(sh.cycle as f64)),
-        ("events", Json::Num(sh.events as f64)),
+        ("cycle", Json::Uint(sh.cycle)),
+        ("events", Json::Uint(sh.events)),
         ("restarts", Json::Num(f64::from(sh.restarts))),
         (
             "subscribers",
@@ -746,11 +765,12 @@ fn validate_name(name: &str) -> Result<(), WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::session_base;
 
-    fn tiny_spec() -> SessionSpec {
-        SessionSpec {
-            scale: 40,
-            ..SessionSpec::default()
+    fn tiny_spec() -> RunSpec {
+        RunSpec {
+            ops: Some(40),
+            ..session_base()
         }
     }
 
@@ -782,22 +802,22 @@ mod tests {
         let mut cfg = ServerConfig::new(&root);
         cfg.max_sessions = 1;
         let mut sup = Supervisor::new(cfg);
-        sup.create("a", tiny_spec()).unwrap();
-        let err = sup.create("b", tiny_spec()).unwrap_err();
+        sup.create("a", tiny_spec(), None).unwrap();
+        let err = sup.create("b", tiny_spec(), None).unwrap_err();
         assert_eq!(err.kind, ErrorKind::Busy);
         sup.kill("a").unwrap();
-        sup.create("b", tiny_spec()).unwrap();
+        sup.create("b", tiny_spec(), None).unwrap();
         sup.kill("b").unwrap();
         let _ = std::fs::remove_dir_all(&root);
     }
 
     /// A session that runs until stopped: no cycle cap and more work
     /// than any test waits for.
-    fn endless_spec() -> SessionSpec {
-        SessionSpec {
-            scale: 1 << 40,
+    fn endless_spec() -> RunSpec {
+        RunSpec {
+            ops: Some(1 << 40),
             max_cycles: 0,
-            ..SessionSpec::default()
+            ..session_base()
         }
     }
 
@@ -810,7 +830,7 @@ mod tests {
         cfg.checkpoint_every = 0;
         let mut sup = Supervisor::new(cfg);
         for n in ["a", "b", "c"] {
-            sup.create(n, endless_spec()).unwrap();
+            sup.create(n, endless_spec(), None).unwrap();
         }
         sup.start("a").unwrap();
         let fields = sup.start("b").unwrap();
@@ -845,11 +865,11 @@ mod tests {
         cfg.slice_events = u64::MAX; // the whole run is one slice
         cfg.checkpoint_every = 0;
         let mut sup = Supervisor::new(cfg);
-        let spec = SessionSpec {
-            scale: 400,
-            ..SessionSpec::default()
+        let spec = RunSpec {
+            ops: Some(400),
+            ..session_base()
         };
-        sup.create("a", spec).unwrap();
+        sup.create("a", spec, None).unwrap();
         // A snapshot's reply shows the worker is in its loop, past its
         // start-up read of the state.
         sup.snapshot("a").unwrap();
@@ -875,7 +895,7 @@ mod tests {
     fn double_start_and_restore_into_running_are_invalid_state() {
         let root = temp_root("invalid");
         let mut sup = Supervisor::new(ServerConfig::new(&root));
-        sup.create("a", SessionSpec::default()).unwrap();
+        sup.create("a", session_base(), None).unwrap();
         sup.start("a").unwrap();
         assert_eq!(sup.start("a").unwrap_err().kind, ErrorKind::InvalidState);
         assert_eq!(sup.restore("a").unwrap_err().kind, ErrorKind::InvalidState);
@@ -893,11 +913,7 @@ mod tests {
         cfg.checkpoint_every = 200;
         cfg.slice_events = 256;
         let mut sup = Supervisor::new(cfg);
-        let spec = SessionSpec {
-            inject_panic_at: Some(800),
-            ..tiny_spec()
-        };
-        sup.create("a", spec).unwrap();
+        sup.create("a", tiny_spec(), Some(800)).unwrap();
         sup.start("a").unwrap();
         wait_for(&mut sup, |s| state(s, "a") == SessionState::Finished);
         let sh = sup.sessions.get("a").unwrap();
@@ -907,6 +923,92 @@ mod tests {
         assert!(sh.report_text.is_some());
         drop(sh);
         sup.kill("a").unwrap();
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn ht_and_invalid_machines_are_bad_spec() {
+        let root = temp_root("badspec");
+        let mut sup = Supervisor::new(ServerConfig::new(&root));
+        let ht = RunSpec {
+            protocol: Protocol::Ht,
+            ..tiny_spec()
+        };
+        let err = sup.create("h", ht, None).unwrap_err();
+        assert_eq!(err.kind, ErrorKind::BadSpec);
+        assert!(err.detail.contains("ht"), "{}", err.detail);
+        let thin = RunSpec {
+            width: 1,
+            ..tiny_spec()
+        };
+        let err = sup.create("t", thin, None).unwrap_err();
+        assert_eq!(err.kind, ErrorKind::BadSpec);
+        assert!(
+            err.detail.contains("torus must be at least 2x2"),
+            "{}",
+            err.detail
+        );
+        assert!(sup.session_names().is_empty());
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A manifest with the field map daemons wrote before sessions were
+    /// run descriptions, `chaos=true` included (the chaos profile,
+    /// seeded with the machine seed), is rediscovered and resumes from
+    /// its checkpoint trail byte-identically.
+    #[test]
+    fn legacy_manifest_is_rediscovered_and_resumes_byte_identically() {
+        use ring_coherence::ProtocolVariant;
+        use ring_noc::{FaultPlan, FaultProfile};
+
+        let root = temp_root("legacy");
+        let dir = root.join("old");
+        std::fs::create_dir_all(&dir).unwrap();
+        // The machine that field map described, derived as it was then.
+        let mut cfg = MachineConfig::with_protocol(ProtocolVariant::Uncorq.config());
+        (cfg.width, cfg.height, cfg.seed) = (4, 4, 2007);
+        (cfg.max_cycles, cfg.watchdog_cycles) = (50_000_000, 2_000_000);
+        cfg.faults = Some(FaultPlan::new(FaultProfile::chaos(), 2007));
+        let profile = AppProfile::by_name("fmm").unwrap().scaled(40);
+        let mut machine = Machine::new(cfg.clone(), &profile);
+        machine.enable_checkpoints(500, &dir);
+        let mut want = Vec::new();
+        machine.run().write_stats(&mut want).unwrap();
+        drop(machine);
+        assert!(!list_checkpoints(&dir).is_empty());
+        let fields = [
+            ("variant", "uncorq"),
+            ("workload", "fmm"),
+            ("scale", "40"),
+            ("width", "4"),
+            ("height", "4"),
+            ("seed", "2007"),
+            ("max_cycles", "50000000"),
+            ("watchdog_cycles", "2000000"),
+            ("chaos", "true"),
+        ];
+        SessionManifest {
+            session: "old".into(),
+            config_hash: config_hash(&cfg),
+            workload_fingerprint: workload_fingerprint(&profile),
+            fields: fields.map(|(k, v)| (k.to_string(), v.to_string())).into(),
+        }
+        .write_atomic(&dir.join(MANIFEST_FILE))
+        .unwrap();
+
+        let mut server = ServerConfig::new(&root);
+        server.checkpoint_every = 0;
+        let mut sup = Supervisor::new(server);
+        assert_eq!(sup.rediscover(), 1);
+        assert_eq!(state(&sup, "old"), SessionState::Paused);
+        sup.start("old").unwrap();
+        wait_for(&mut sup, |s| state(s, "old") == SessionState::Finished);
+        let got = lock(&sup.sessions.get("old").unwrap().shared)
+            .report_text
+            .clone()
+            .unwrap();
+        assert_eq!(got.as_bytes(), want.as_slice());
+        sup.kill("old").unwrap();
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -927,7 +1029,7 @@ mod tests {
         let mut sup = Supervisor::new(ServerConfig::new(&root));
         for bad in ["", ".hidden", "a/b", "a b", &"x".repeat(65)] {
             assert_eq!(
-                sup.create(bad, tiny_spec()).unwrap_err().kind,
+                sup.create(bad, tiny_spec(), None).unwrap_err().kind,
                 ErrorKind::BadFrame,
                 "accepted {bad:?}"
             );

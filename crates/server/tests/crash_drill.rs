@@ -127,10 +127,10 @@ fn extract_str<'j>(json: &'j str, key: &str) -> Option<&'j str> {
 /// writes `report.txt` with `Report::write_stats`, so these bytes are
 /// the ground truth any daemon path must reproduce exactly.
 fn baseline_report(scale: u64, seed: u64) -> Vec<u8> {
-    let spec = ring_server::SessionSpec {
-        scale,
+    let spec = ring_system::RunSpec {
+        ops: Some(scale),
         seed,
-        ..ring_server::SessionSpec::default()
+        ..ring_server::session_base()
     };
     let (cfg, profile) = spec.build().expect("baseline spec builds");
     let mut machine = ring_system::Machine::new(cfg, &profile);

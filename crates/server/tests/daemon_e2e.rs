@@ -13,6 +13,10 @@
 //!   session is held gets a contiguous suffix of it;
 //! - a session's report files never appear before its state says
 //!   `finished`;
+//! - the daemon hosts what the CLI runs: a drop20 + reliable session
+//!   writes the report of an in-process run of the same `RunSpec`, and
+//!   a spec it cannot host (HT, an invalid machine) is a typed
+//!   `bad-spec`;
 //! - a `shutdown` frame drains gracefully.
 //!
 //! The daemon's shutdown flag is process-global, so every test
@@ -25,8 +29,8 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Duration;
 
 use ring_server::json::Json;
-use ring_server::{daemon, Client, Command, ErrorKind, ServerConfig, SessionSpec};
-use ring_system::Machine;
+use ring_server::{daemon, session_base, Client, Command, ErrorKind, ServerConfig};
+use ring_system::{Machine, Protocol, RunSpec};
 use ring_trace::SharedBufferSink;
 
 static TEST_LOCK: OnceLock<Mutex<()>> = OnceLock::new();
@@ -121,16 +125,16 @@ impl Drop for Harness {
     }
 }
 
-fn tiny_spec() -> SessionSpec {
-    SessionSpec {
-        scale: 40,
-        ..SessionSpec::default()
+fn tiny_spec() -> RunSpec {
+    RunSpec {
+        ops: Some(40),
+        ..session_base()
     }
 }
 
 /// The trace events of an in-process run of `spec`, as the lines a
 /// subscription streams them.
-fn in_process_stream(spec: &SessionSpec) -> Vec<String> {
+fn in_process_stream(spec: &RunSpec) -> Vec<String> {
     let (cfg, profile) = spec.build().expect("spec builds");
     let sink = SharedBufferSink::new();
     let mut m = Machine::new(cfg, &profile);
@@ -173,6 +177,7 @@ fn lifecycle_overload_and_graceful_shutdown() {
         c.request(Command::Create {
             session: name.into(),
             spec: tiny_spec(),
+            inject_panic_at: None,
         })
         .expect("create");
     }
@@ -180,6 +185,7 @@ fn lifecycle_overload_and_graceful_shutdown() {
         .request(Command::Create {
             session: "c".into(),
             spec: tiny_spec(),
+            inject_panic_at: None,
         })
         .unwrap_err();
     assert_eq!(err.kind, ErrorKind::Busy);
@@ -271,6 +277,7 @@ fn slow_subscriber_gets_gaps_and_never_perturbs_results() {
     c.request(Command::Create {
         session: "solo".into(),
         spec: tiny_spec(),
+        inject_panic_at: None,
     })
     .expect("create solo");
     c.request(Command::Start {
@@ -283,6 +290,7 @@ fn slow_subscriber_gets_gaps_and_never_perturbs_results() {
     c.request(Command::Create {
         session: "subbed".into(),
         spec: tiny_spec(),
+        inject_panic_at: None,
     })
     .expect("create subbed");
     let sub = h
@@ -361,6 +369,7 @@ fn subscriber_before_start_gets_the_in_process_event_sequence() {
     c.request(Command::Create {
         session: "obs".into(),
         spec: tiny_spec(),
+        inject_panic_at: None,
     })
     .expect("create");
     let sub = h.client().subscribe("obs", 1 << 20).expect("subscribe");
@@ -383,6 +392,7 @@ fn subscriber_of_a_held_session_gets_a_contiguous_suffix() {
     c.request(Command::Create {
         session: "held".into(),
         spec: tiny_spec(),
+        inject_panic_at: None,
     })
     .expect("create");
     // Run 2000 events unobserved, and wait until the worker holds.
@@ -431,6 +441,7 @@ fn report_files_never_precede_the_finished_state() {
         c.request(Command::Create {
             session: name.clone(),
             spec: tiny_spec(),
+            inject_panic_at: None,
         })
         .expect("create");
         c.request(Command::Start {
@@ -456,5 +467,85 @@ fn report_files_never_precede_the_finished_state() {
             "{name}: report.json exists but the state is not finished"
         );
         c.request(Command::Kill { session: name }).expect("kill");
+    }
+}
+
+/// The daemon hosts the lossy runs the CLI can: a drop20 session over
+/// the reliable-delivery sublayer writes exactly the report of an
+/// in-process run built from the same run description.
+#[test]
+fn lossy_reliable_session_matches_the_in_process_run() {
+    let _guard = serialized();
+    let h = Harness::launch("lossy", |_| {});
+    let spec = RunSpec {
+        chaos: Some(42),
+        chaos_profile: Some("drop20".into()),
+        reliable: true,
+        ..tiny_spec()
+    };
+    let (cfg, profile) = spec.build().expect("spec builds");
+    assert!(cfg.faults.is_some() && cfg.reliability.enabled);
+    let mut want = Vec::new();
+    Machine::new(cfg, &profile)
+        .run()
+        .write_stats(&mut want)
+        .expect("render the reference report");
+    let mut c = h.client();
+    c.request(Command::Create {
+        session: "lossy".into(),
+        spec,
+        inject_panic_at: None,
+    })
+    .expect("create");
+    c.request(Command::Start {
+        session: "lossy".into(),
+    })
+    .expect("start");
+    // report.json is written after report.txt.
+    let dir = h.root.join("lossy");
+    for _ in 0..30_000 {
+        if dir.join("report.json").exists() {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let got = std::fs::read(dir.join("report.txt")).expect("lossy report");
+    assert!(
+        got == want,
+        "the session's report differs from the in-process run"
+    );
+}
+
+/// `create` refuses what the daemon cannot host with a typed
+/// `bad-spec`: the HT machine, and a machine that fails validation.
+#[test]
+fn unhostable_specs_are_typed_bad_spec() {
+    let _guard = serialized();
+    let h = Harness::launch("badspec", |_| {});
+    let mut c = h.client();
+    for (name, spec) in [
+        (
+            "h",
+            RunSpec {
+                protocol: Protocol::Ht,
+                ..tiny_spec()
+            },
+        ),
+        (
+            "thin",
+            RunSpec {
+                width: 1,
+                ..tiny_spec()
+            },
+        ),
+    ] {
+        let err = c
+            .request(Command::Create {
+                session: name.into(),
+                spec,
+                inject_panic_at: None,
+            })
+            .unwrap_err();
+        assert_eq!(err.kind, ErrorKind::BadSpec, "{name}: {}", err.detail);
     }
 }

@@ -13,7 +13,8 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
-use ring_server::{ErrorKind, Request, ServerConfig, SessionSpec, Supervisor};
+use ring_server::{session_base, ErrorKind, Request, ServerConfig, Supervisor};
+use ring_system::RunSpec;
 
 static CASE: AtomicUsize = AtomicUsize::new(0);
 
@@ -24,10 +25,10 @@ fn fresh_root() -> std::path::PathBuf {
     dir
 }
 
-fn tiny_spec() -> SessionSpec {
-    SessionSpec {
-        scale: 40,
-        ..SessionSpec::default()
+fn tiny_spec() -> RunSpec {
+    RunSpec {
+        ops: Some(40),
+        ..session_base()
     }
 }
 
@@ -39,7 +40,7 @@ const NAMES: [&str; 3] = ["a", "b", "ghost-#"];
 
 fn apply(sup: &mut Supervisor, op: u8, name: &str) -> Option<ErrorKind> {
     let err = match op as usize % OPS {
-        0 => sup.create(name, tiny_spec()).err(),
+        0 => sup.create(name, tiny_spec(), None).err(),
         1 => sup.start(name).err(),
         2 => sup.pause(name).err(),
         3 => sup.step(name, 64).err(),

@@ -37,6 +37,7 @@ mod effects;
 mod ht_machine;
 mod machine;
 mod par;
+mod spec;
 mod stall;
 mod stats;
 
@@ -46,5 +47,9 @@ pub use checkpoint::{
 pub use config::{MachineConfig, MachineConfigError, DEFAULT_WORKLOAD};
 pub use machine::{run_paper, HtMachine, Machine, NodeAgent, RunProgress, Sim};
 pub use ring_sim::pdes::Partition;
+pub use spec::{
+    field, parse_grid, Field, FieldKind, FieldValue, Protocol, RunSpec, SpecError, SpecFlags,
+    DEFAULT_CHAOS_PROFILE, FIELDS, PAPER_SEED,
+};
 pub use stall::{NodeStallState, RestoredFrom, StallCause, StallReport};
 pub use stats::{MachineStats, Report};

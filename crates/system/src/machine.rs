@@ -765,8 +765,8 @@ impl<A: NodeAgent> Sim<A> {
 
     /// Per-node forward-progress state (LTT/MSHR occupancy, pending
     /// core operations, lines being retried or starving) — the raw
-    /// material for stall reports and for `ringprof`'s stall
-    /// attribution.
+    /// material for stall reports and for the stall attribution
+    /// `uncorq --profile` prints.
     pub fn node_stall_states(&self) -> Vec<NodeStallState> {
         self.agents
             .iter()

@@ -195,8 +195,8 @@ impl Report {
     /// Writes the full report as a single JSON object — every counter
     /// of [`write_stats`](Report::write_stats) plus the phase and
     /// per-class latency distributions with their percentiles. This is
-    /// the machine-readable companion of the plain-text listing, shared
-    /// by the main CLI's `--metrics-out` and the `ringprof` binary.
+    /// the machine-readable companion of the plain-text listing, written
+    /// by the main CLI's `--metrics-out`.
     ///
     /// # Errors
     ///

@@ -36,7 +36,7 @@ use uncorq::coherence::{ProtocolConfig, ProtocolVariant};
 use uncorq::noc::{FaultPlan, FaultProfile, ReliabilityConfig};
 use uncorq::sim::DetRng;
 use uncorq::snapshot::{fnv1a, SnapshotError};
-use uncorq::system::{list_checkpoints, restore_latest, Machine, MachineConfig};
+use uncorq::system::{list_checkpoints, parse_grid, restore_latest, Machine, MachineConfig};
 use uncorq::trace::{check_events, SharedBufferSink};
 use uncorq::workloads::AppProfile;
 
@@ -81,16 +81,7 @@ fn parse(mut argv: std::env::Args) -> Result<Args, String> {
                 .ok_or_else(|| format!("{name} requires a value"))
         };
         match flag.as_str() {
-            "--nodes" => {
-                let v = value("--nodes")?;
-                let (w, h) = v
-                    .split_once(['x', 'X'])
-                    .ok_or_else(|| format!("--nodes expects WxH, got {v}"))?;
-                a.nodes = (
-                    w.parse().map_err(|e| format!("--nodes width: {e}"))?,
-                    h.parse().map_err(|e| format!("--nodes height: {e}"))?,
-                );
-            }
+            "--nodes" => a.nodes = parse_grid(&value("--nodes")?).map_err(|e| e.to_string())?,
             "--seeds" => {
                 a.seeds = value("--seeds")?
                     .parse()

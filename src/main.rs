@@ -1,50 +1,46 @@
 //! `uncorq` — command-line front end for the simulator.
 //!
 //! ```text
-//! uncorq --app fmm --protocol uncorq [--ops 20000] [--seed 2007]
-//!        [--prefetch] [--dual-rings] [--row-major-ring] [--nodes 8x8]
-//!        [--workers N] [--check-invariants] [--histogram]
-//!        [--trace-out FILE] [--metrics-out FILE] [--profile]
-//!        [--profile-out BASE] [--chaos SEED] [--chaos-profile NAME]
-//!        [--watchdog N] [--checkpoint-every N] [--checkpoint-dir D] [--checkpoint-keep K]
-//!        [--restore PATH]
+//! uncorq [RUN FLAGS] [--workers N] [--histogram] [--trace-out FILE]
+//!        [--stats-out FILE] [--metrics-out FILE] [--profile]
+//!        [--profile-out BASE] [--checkpoint-every N] [--checkpoint-dir D]
+//!        [--checkpoint-keep K] [--restore PATH]
 //! uncorq --list
 //! ```
+//!
+//! The run flags (`--protocol --app --ops --nodes --seed --chaos …`)
+//! are the field table of [`uncorq::system::RunSpec`], shared with
+//! `ringctl create`; the base is the paper machine at seed 2007.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::io::Write;
 use std::process::ExitCode;
 
-use uncorq::coherence::ProtocolKind;
-use uncorq::noc::{FaultPlan, FaultProfile, ReliabilityConfig};
-use uncorq::system::{HtMachine, Machine, MachineConfig, NodeAgent, Report, Sim, StallReport};
-use uncorq::trace::{perfetto_json, FlightConfig, FlightRecorder, SharedBufferSink};
+use uncorq::coherence::ProtocolVariant;
+use uncorq::stats::{Align, Table};
+use uncorq::system::{
+    HtMachine, Machine, NodeAgent, Protocol, Report, RunSpec, Sim, SpecFlags, StallReport,
+    DEFAULT_CHAOS_PROFILE,
+};
+use uncorq::trace::{
+    perfetto_json, FlightConfig, FlightRecorder, SharedBufferSink, WindowSnapshot,
+};
 use uncorq::workloads::AppProfile;
+
+/// Hottest links and nodes listed per window by `--profile`.
+const PROFILE_TOPK: usize = 3;
 
 #[derive(Debug)]
 struct Args {
-    app: String,
-    protocol: String,
-    ops: Option<u64>,
-    seed: u64,
-    prefetch: bool,
-    dual_rings: bool,
-    row_major_ring: bool,
-    nodes: (usize, usize),
+    spec: RunSpec,
     workers: usize,
-    check_invariants: bool,
     histogram: bool,
-    trace_line: Option<u64>,
     trace_out: Option<String>,
     stats_out: Option<String>,
     metrics_out: Option<String>,
     profile: bool,
     profile_out: Option<String>,
-    chaos: Option<u64>,
-    chaos_profile: String,
-    reliable: bool,
-    watchdog: Option<u64>,
     checkpoint_every: u64,
     checkpoint_dir: String,
     checkpoint_keep: usize,
@@ -52,48 +48,9 @@ struct Args {
     list: bool,
 }
 
-impl Default for Args {
-    fn default() -> Self {
-        Args {
-            app: "fmm".into(),
-            protocol: "uncorq".into(),
-            ops: None,
-            seed: 2007,
-            prefetch: false,
-            dual_rings: false,
-            row_major_ring: false,
-            nodes: (8, 8),
-            workers: 1,
-            check_invariants: false,
-            histogram: false,
-            trace_line: None,
-            trace_out: None,
-            stats_out: None,
-            metrics_out: None,
-            profile: false,
-            profile_out: None,
-            chaos: None,
-            chaos_profile: "chaos".into(),
-            reliable: false,
-            watchdog: None,
-            checkpoint_every: 0,
-            checkpoint_dir: "checkpoints".into(),
-            checkpoint_keep: 0,
-            restore: None,
-            list: false,
-        }
-    }
-}
-
-const USAGE: &str =
-    "usage: uncorq [--list] [--app NAME] [--protocol eager|supersetcon|supersetagg|uncorq|ht]
-              [--ops N] [--seed N] [--prefetch] [--dual-rings] [--row-major-ring]
-              [--nodes WxH] [--workers N] [--check-invariants] [--histogram] [--trace-line N]
+const USAGE: &str = "usage: uncorq [--list] [RUN FLAGS] [--workers N] [--histogram]
               [--trace-out FILE] [--stats-out FILE] [--metrics-out FILE]
               [--profile] [--profile-out BASE]
-              [--chaos SEED] [--chaos-profile none|jitter|reorder|duplicate|congestion|chaos|
-                              drop1|drop5|drop20|outage|lossy_chaos]
-              [--reliable] [--watchdog CYCLES]
               [--checkpoint-every N] [--checkpoint-dir D] [--checkpoint-keep K]
               [--restore PATH]
 
@@ -114,38 +71,57 @@ baseline machine, and --check-invariants forces the serial engine.
 
 --metrics-out writes the final machine statistics as JSON (including
 phase and per-class latency percentiles). --profile installs the flight
-recorder and prints the latency percentile tables; --profile-out BASE
-additionally writes BASE.perfetto.json (Chrome/Perfetto trace),
-BASE.prom (Prometheus text snapshot), and BASE.windows.jsonl (windowed
-flight-recorder snapshots), and implies --profile.";
+recorder and prints the window timeline (10 000-cycle windows, top 3
+links and nodes), the latency percentile tables and the stall
+attribution; --profile-out BASE additionally writes BASE.perfetto.json
+(Chrome/Perfetto trace), BASE.prom (Prometheus text snapshot), and
+BASE.windows.jsonl (windowed flight-recorder snapshots), and implies
+--profile.
+
+RUN FLAGS (the paper machine at seed 2007 unless given; shared with
+`ringctl create`):
+";
+
+fn usage() -> String {
+    format!("{USAGE}{}", SpecFlags::usage())
+}
 
 fn parse(mut argv: std::env::Args) -> Result<Args, String> {
-    let mut a = Args::default();
+    let mut a = Args {
+        spec: RunSpec::paper(Protocol::Ring(ProtocolVariant::Uncorq)),
+        workers: 1,
+        histogram: false,
+        trace_out: None,
+        stats_out: None,
+        metrics_out: None,
+        profile: false,
+        profile_out: None,
+        checkpoint_every: 0,
+        checkpoint_dir: "checkpoints".into(),
+        checkpoint_keep: 0,
+        restore: None,
+        list: false,
+    };
+    let mut run_flags = SpecFlags::default();
     argv.next(); // program name
     while let Some(flag) = argv.next() {
+        if run_flags
+            .take(&flag, || argv.next())
+            .map_err(|e| e.to_string())?
+        {
+            continue;
+        }
         let mut value = |name: &str| {
             argv.next()
                 .ok_or_else(|| format!("{name} requires a value"))
         };
         match flag.as_str() {
             "--list" => a.list = true,
-            "--app" => a.app = value("--app")?,
-            "--protocol" => a.protocol = value("--protocol")?.to_lowercase(),
-            "--ops" => a.ops = Some(value("--ops")?.parse().map_err(|e| format!("--ops: {e}"))?),
-            "--seed" => {
-                a.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--prefetch" => a.prefetch = true,
             "--workers" => {
                 a.workers = value("--workers")?
                     .parse()
                     .map_err(|e| format!("--workers: {e}"))?
             }
-            "--dual-rings" => a.dual_rings = true,
-            "--row-major-ring" => a.row_major_ring = true,
-            "--check-invariants" => a.check_invariants = true,
             "--histogram" => a.histogram = true,
             "--stats-out" => a.stats_out = Some(value("--stats-out")?),
             "--metrics-out" => a.metrics_out = Some(value("--metrics-out")?),
@@ -155,15 +131,6 @@ fn parse(mut argv: std::env::Args) -> Result<Args, String> {
                 a.profile_out = Some(value("--profile-out")?);
                 a.profile = true;
             }
-            "--chaos" => {
-                a.chaos = Some(
-                    value("--chaos")?
-                        .parse()
-                        .map_err(|e| format!("--chaos: {e}"))?,
-                )
-            }
-            "--chaos-profile" => a.chaos_profile = value("--chaos-profile")?.to_lowercase(),
-            "--reliable" => a.reliable = true,
             "--checkpoint-every" => {
                 a.checkpoint_every = value("--checkpoint-every")?
                     .parse()
@@ -176,61 +143,24 @@ fn parse(mut argv: std::env::Args) -> Result<Args, String> {
                     .map_err(|e| format!("--checkpoint-keep: {e}"))?
             }
             "--restore" => a.restore = Some(value("--restore")?),
-            "--watchdog" => {
-                a.watchdog = Some(
-                    value("--watchdog")?
-                        .parse()
-                        .map_err(|e| format!("--watchdog: {e}"))?,
-                )
-            }
-            "--trace-line" => {
-                let v = value("--trace-line")?;
-                let parsed = if let Some(hex) = v.strip_prefix("0x") {
-                    u64::from_str_radix(hex, 16)
-                } else {
-                    v.parse()
-                };
-                a.trace_line = Some(parsed.map_err(|e| format!("--trace-line: {e}"))?);
-            }
-            "--nodes" => {
-                let v = value("--nodes")?;
-                let (w, h) = v
-                    .split_once(['x', 'X'])
-                    .ok_or_else(|| format!("--nodes expects WxH, got {v}"))?;
-                a.nodes = (
-                    w.parse().map_err(|e| format!("--nodes width: {e}"))?,
-                    h.parse().map_err(|e| format!("--nodes height: {e}"))?,
-                );
-            }
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other => return Err(format!("unknown flag {other}\n{USAGE}")),
+            "--help" | "-h" => return Err(usage()),
+            other => return Err(format!("unknown flag {other}\n{}", usage())),
         }
     }
+    a.spec = run_flags.finish(a.spec).map_err(|e| e.to_string())?;
     Ok(a)
 }
 
-fn protocol_kind(name: &str) -> Result<Option<ProtocolKind>, String> {
-    Ok(Some(match name {
-        "eager" => ProtocolKind::Eager,
-        "supersetcon" => ProtocolKind::SupersetCon,
-        "supersetagg" => ProtocolKind::SupersetAgg,
-        "uncorq" => ProtocolKind::Uncorq,
-        "ht" => return Ok(None),
-        other => return Err(format!("unknown protocol {other}\n{USAGE}")),
-    }))
-}
-
-fn print_report(args: &Args, report: &Report) {
+fn print_report(spec: &RunSpec, histogram: bool, report: &Report) {
     let s = &report.stats;
     println!(
         "machine    : {}x{} nodes, seed {}",
-        args.nodes.0, args.nodes.1, args.seed
+        spec.width, spec.height, spec.seed
     );
     println!(
-        "protocol   : {}{}{}",
-        args.protocol,
-        if args.prefetch { "+pref" } else { "" },
-        if args.dual_rings { " (dual rings)" } else { "" }
+        "protocol   : {}{}",
+        spec.protocol,
+        if spec.dual_rings { " (dual rings)" } else { "" }
     );
     println!("finished   : {}", report.finished);
     println!("exec       : {} cycles", report.exec_cycles);
@@ -255,9 +185,121 @@ fn print_report(args: &Args, report: &Report) {
         "protocol   : {} txns, {} retries, {} snoops ({} skipped), {} LTT stalls",
         s.transactions, s.retries, s.snoops, s.snoops_skipped, s.ltt_stalls
     );
-    if args.histogram {
+    if histogram {
         println!("\ncache-to-cache read miss latency histogram:");
         print!("{}", s.c2c_histogram.render_ascii(48));
+    }
+}
+
+/// Renders `[(index, value)]` as `L7:123 L2:45`.
+fn hot_list(prefix: &str, items: &[(usize, u64)]) -> String {
+    if items.is_empty() {
+        return "-".into();
+    }
+    items
+        .iter()
+        .map(|(i, v)| format!("{prefix}{i}:{v}"))
+        .collect::<Vec<_>>()
+        .join(" ")
+}
+
+/// The `--profile` window timeline: one row per flight-recorder window
+/// with its event rate, occupancies and hottest links and nodes.
+fn window_table(windows: &[WindowSnapshot]) -> String {
+    let columns = [
+        ("Window end", Align::Right),
+        ("Cycles", Align::Right),
+        ("Events", Align::Right),
+        ("Ev/cyc", Align::Right),
+        ("Queue", Align::Right),
+        ("LTT", Align::Right),
+        ("MSHR", Align::Right),
+        ("Retry", Align::Right),
+        ("Hottest links", Align::Left),
+        ("Hottest nodes", Align::Left),
+    ];
+    let mut t = Table::new(columns.iter().map(|(h, _)| h.to_string()).collect());
+    t.align(columns.iter().map(|&(_, a)| a).collect());
+    for w in windows {
+        t.row(vec![
+            format!("{}", w.window_end),
+            format!("{}", w.cycles),
+            format!("{}", w.events),
+            format!("{:.2}", w.event_rate()),
+            format!("{}", w.queue_depth),
+            format!("{}", w.ltt_total),
+            format!("{}", w.mshr_total),
+            format!("{}", w.retries),
+            hot_list("L", &w.hottest_links(PROFILE_TOPK)),
+            hot_list("n", &w.hottest_nodes(PROFILE_TOPK)),
+        ]);
+    }
+    t.render()
+}
+
+/// Aggregates the machine's per-node stall states into an attribution
+/// breakdown. After a clean finish everything here is zero; after a cap
+/// or stall it says which resource the unfinished nodes are stuck on.
+fn stall_attribution<A: NodeAgent>(m: &Sim<A>) -> String {
+    let states = m.node_stall_states();
+    let unfinished: Vec<u32> = states
+        .iter()
+        .filter(|s| !s.finished)
+        .map(|s| s.node)
+        .collect();
+    let ltt: usize = states.iter().map(|s| s.ltt_occupancy).sum();
+    let outstanding: usize = states.iter().map(|s| s.outstanding).sum();
+    let pending: usize = states.iter().map(|s| s.pending_core).sum();
+    let retrying: usize = states.iter().map(|s| s.retrying.len()).sum();
+    let starving: Vec<u32> = states
+        .iter()
+        .filter(|s| s.starving_on.is_some())
+        .map(|s| s.node)
+        .collect();
+    let mut out = String::new();
+    out.push_str("stall attribution (end of run):\n");
+    if unfinished.is_empty() && ltt + outstanding + pending + retrying == 0 {
+        out.push_str("  all nodes finished; no residual occupancy\n");
+        return out;
+    }
+    out.push_str(&format!(
+        "  unfinished nodes : {} {:?}\n",
+        unfinished.len(),
+        unfinished
+    ));
+    out.push_str(&format!("  LTT entries held : {ltt}\n"));
+    out.push_str(&format!("  outstanding misses: {outstanding}\n"));
+    out.push_str(&format!("  pending core ops : {pending}\n"));
+    out.push_str(&format!("  lines in retry   : {retrying}\n"));
+    if !starving.is_empty() {
+        out.push_str(&format!("  starving nodes   : {starving:?}\n"));
+    }
+    out
+}
+
+/// The `--profile` text around the latency tables: the window
+/// timeline before them, the stall attribution after.
+struct ProfileText {
+    windows: String,
+    stalls: String,
+}
+
+impl ProfileText {
+    fn of<A: NodeAgent>(m: &Sim<A>) -> ProfileText {
+        let windows = m.flight().map_or_else(String::new, |f| {
+            let snapshots: Vec<WindowSnapshot> = f.snapshots().cloned().collect();
+            format!(
+                "windows: {} recorded at {}-cycle intervals ({} evicted from ring)\n\n{}",
+                f.recorded(),
+                FlightConfig::default().interval,
+                f.dropped(),
+                window_table(&snapshots)
+            )
+        });
+        ProfileText {
+            windows,
+            stalls: stall_attribution(m),
+        }
     }
 }
 
@@ -270,7 +312,7 @@ fn write_profile_files<A: NodeAgent>(
     shared: Option<&SharedBufferSink>,
 ) -> std::io::Result<()> {
     let events = shared.map(|s| s.snapshot()).unwrap_or_default();
-    let windows: Vec<uncorq::trace::WindowSnapshot> = m
+    let windows: Vec<WindowSnapshot> = m
         .flight()
         .map(|f| f.snapshots().cloned().collect())
         .unwrap_or_default();
@@ -314,7 +356,7 @@ fn run_machine<A: NodeAgent>(
     args: &Args,
     m: &mut Sim<A>,
     run: impl FnOnce(&mut Sim<A>) -> Result<Report, Box<StallReport>>,
-) -> Result<Report, ExitCode> {
+) -> Result<(Report, Option<ProfileText>), ExitCode> {
     // With --profile-out the Perfetto export needs the full event
     // stream in memory, so a shared buffer replaces the direct-to-file
     // sink; --trace-out is then written from the buffer after the run.
@@ -344,7 +386,7 @@ fn run_machine<A: NodeAgent>(
             m.report()
         }
     };
-    if let Some(l) = args.trace_line {
+    if let Some(l) = args.spec.trace_line {
         let line = uncorq::cache::LineAddr::new(l);
         println!("protocol trace for {line}:");
         for e in m.line_trace(line) {
@@ -364,7 +406,22 @@ fn run_machine<A: NodeAgent>(
             return Err(ExitCode::FAILURE);
         }
     }
-    Ok(r)
+    let text = args.profile.then(|| ProfileText::of(m));
+    Ok((r, text))
+}
+
+fn list() {
+    println!("applications (11 SPLASH-2 + 2 commercial, paper Figure 8(c)):");
+    for p in AppProfile::all() {
+        println!(
+            "  {:<16} {:>6} ops/core, compute ~{:.0} cyc/ref",
+            p.name, p.ops_per_core, p.compute_mean
+        );
+    }
+    println!("protocols (name, paper label):");
+    for p in Protocol::ALL {
+        println!("  {:<16} {}", p.name(), p.label());
+    }
 }
 
 fn main() -> ExitCode {
@@ -376,87 +433,28 @@ fn main() -> ExitCode {
         }
     };
     if args.list {
-        println!("applications (11 SPLASH-2 + 2 commercial, paper Figure 8(c)):");
-        for p in AppProfile::all() {
-            println!(
-                "  {:<16} {:>6} ops/core, compute ~{:.0} cyc/ref",
-                p.name, p.ops_per_core, p.compute_mean
-            );
-        }
-        println!("protocols: eager supersetcon supersetagg uncorq ht");
+        list();
         return ExitCode::SUCCESS;
     }
-    let Some(mut profile) = AppProfile::by_name(&args.app) else {
-        eprintln!("unknown application {}; try --list", args.app);
-        return ExitCode::FAILURE;
-    };
-    if let Some(ops) = args.ops {
-        profile = profile.scaled(ops);
-    }
-    let kind = match protocol_kind(&args.protocol) {
-        Ok(k) => k,
-        Err(msg) => {
-            eprintln!("{msg}");
+    let (cfg, profile) = match args.spec.build() {
+        Ok(built) => built,
+        Err(e) => {
+            eprintln!("{e}");
             return ExitCode::FAILURE;
         }
     };
-    let mut cfg = match kind {
-        Some(k) if args.prefetch => {
-            let mut c = MachineConfig::paper_uncorq_pref();
-            c.protocol.kind = k;
-            c
-        }
-        Some(k) => MachineConfig::paper(k),
-        None => MachineConfig::paper(ProtocolKind::Eager), // HT machine
-    };
-    cfg.width = args.nodes.0;
-    cfg.height = args.nodes.1;
-    cfg.seed = args.seed;
-    cfg.dual_rings = args.dual_rings;
-    cfg.ring_row_major = args.row_major_ring;
-    cfg.check_invariants = args.check_invariants;
-    if let Some(l) = args.trace_line {
-        cfg.trace_lines.push(l);
+    if cfg.faults.is_some_and(|p| p.profile.needs_reliability()) && !args.spec.reliable {
+        eprintln!(
+            "note: profile {} destroys frames; enabling the reliable-delivery sublayer \
+             (implied --reliable)",
+            args.spec
+                .chaos_profile
+                .as_deref()
+                .unwrap_or(DEFAULT_CHAOS_PROFILE)
+        );
     }
-    if let Some(chaos_seed) = args.chaos {
-        if kind.is_none() {
-            eprintln!("--chaos is not supported on the HT baseline machine");
-            return ExitCode::FAILURE;
-        }
-        let Some(profile) = FaultProfile::by_name(&args.chaos_profile) else {
-            eprintln!(
-                "unknown chaos profile {}; known: none jitter reorder duplicate congestion \
-                 chaos drop1 drop5 drop20 outage lossy_chaos",
-                args.chaos_profile
-            );
-            return ExitCode::FAILURE;
-        };
-        cfg.faults = Some(FaultPlan::new(profile, chaos_seed));
-        if profile.needs_reliability() && !args.reliable {
-            eprintln!(
-                "note: profile {} destroys frames; enabling the reliable-delivery sublayer \
-                 (implied --reliable)",
-                args.chaos_profile
-            );
-            cfg.reliability = ReliabilityConfig::on();
-        }
-    }
-    if args.reliable {
-        if kind.is_none() {
-            eprintln!("--reliable is not supported on the HT baseline machine");
-            return ExitCode::FAILURE;
-        }
-        cfg.reliability = ReliabilityConfig::on();
-    }
-    if let Some(w) = args.watchdog {
-        cfg.watchdog_cycles = w;
-    }
-    if kind.is_none() && (args.restore.is_some() || args.checkpoint_every > 0) {
-        eprintln!("--restore/--checkpoint-every are not supported on the HT baseline machine");
-        return ExitCode::FAILURE;
-    }
-    let run = match kind {
-        Some(_) => {
+    let run = match args.spec.protocol {
+        Protocol::Ring(_) => {
             let mut m = match &args.restore {
                 None => Machine::new(cfg, &profile),
                 Some(path) => {
@@ -494,7 +492,13 @@ fn main() -> ExitCode {
             // One thread is the serial engine.
             run_machine(&args, &mut m, |m| m.try_run_parallel(args.workers))
         }
-        None => {
+        Protocol::Ht => {
+            if args.restore.is_some() || args.checkpoint_every > 0 {
+                eprintln!(
+                    "--restore/--checkpoint-every are not supported on the HT baseline machine"
+                );
+                return ExitCode::FAILURE;
+            }
             if args.workers > 1 {
                 eprintln!("--workers is not supported on the HT baseline machine");
                 return ExitCode::FAILURE;
@@ -502,14 +506,17 @@ fn main() -> ExitCode {
             run_machine(&args, &mut HtMachine::new(cfg, &profile), Sim::try_run)
         }
     };
-    let report = match run {
+    let (report, profile_text) = match run {
         Ok(r) => r,
         Err(code) => return code,
     };
-    print_report(&args, &report);
-    if args.profile {
+    print_report(&args.spec, args.histogram, &report);
+    if let Some(p) = profile_text {
         println!();
+        println!("{}", p.windows);
         print!("{}", report.latency_table());
+        println!();
+        print!("{}", p.stalls);
     }
     if let Some(path) = &args.metrics_out {
         let file = std::fs::File::create(path).unwrap_or_else(|e| {
