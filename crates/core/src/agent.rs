@@ -391,7 +391,7 @@ impl RingAgent {
             l2: CacheArray::new(l2_cfg),
             ltt: Ltt::new(cfg.ltt),
             filter,
-            npp: NodePrefetchPredictor::new(if cfg.prefetch { cfg.npp_entries } else { 0 }),
+            npp: NodePrefetchPredictor::new(cfg.npp_capacity()),
             outstanding: Mshr::new(cfg.max_outstanding),
             pending_core: VecDeque::new(),
             retry_info: BTreeMap::new(),
@@ -598,11 +598,27 @@ impl RingAgent {
         }
     }
 
-    /// Records `line` as recently seen in ring traffic (warm-up hook for
-    /// the Node Prefetch Predictor: the paper's runs skip initialization,
-    /// during which this traffic would have been observed).
-    pub fn npp_observe(&mut self, line: LineAddr) {
-        self.npp.observe(line);
+    /// The node's Node Prefetch Predictor.
+    pub fn prefetch_predictor(&self) -> &NodePrefetchPredictor {
+        &self.npp
+    }
+
+    /// Replaces the Node Prefetch Predictor with a copy of `warm` (warm-up
+    /// hook: the paper's runs skip initialization, during which every
+    /// node would have observed the same ring traffic, so the machine
+    /// builds that state once and each agent takes its own copy).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `warm`'s capacity is not this agent's.
+    pub fn warm_prefetch_predictor(&mut self, warm: &NodePrefetchPredictor) {
+        assert_eq!(
+            warm.capacity(),
+            self.npp.capacity(),
+            "warm prefetch predictor capacity differs from node {}'s",
+            self.node.0
+        );
+        self.npp.clone_from(warm);
     }
 
     /// Directly installs a line (test setup / warm-up), updating the
@@ -1976,6 +1992,13 @@ impl RingAgent {
             a.filter = Some(PresenceFilter::snap_load(r)?);
         }
         a.npp = NodePrefetchPredictor::snap_load(r)?;
+        if a.npp.capacity() != cfg.npp_capacity() {
+            return Err(r.malformed(format!(
+                "prefetch predictor capacity {} does not match the configured {}",
+                a.npp.capacity(),
+                cfg.npp_capacity()
+            )));
+        }
         a.outstanding = Mshr::snap_load_with(r, |r| r.get::<OwnTx>())?;
         a.pending_core = r.get()?;
         a.retry_info = r.get()?;
@@ -2182,6 +2205,35 @@ mod tests {
             .iter()
             .any(|e| matches!(e, Effect::MemFetch { prefetch: true, .. })));
         assert_eq!(a.stats().prefetches_issued, 1);
+    }
+
+    #[test]
+    fn restore_refuses_a_prefetch_predictor_of_another_capacity() {
+        let mut cfg = ProtocolConfig::uncorq_pref();
+        cfg.npp_entries = 16;
+        let mut a = RingAgent::new(NodeId(3), cfg, CacheConfig::l2_512k(), DetRng::seed(9));
+        let mut warm = NodePrefetchPredictor::new(16);
+        warm.observe(line());
+        a.warm_prefetch_predictor(&warm);
+        let mut w = ring_snapshot::SnapWriter::new();
+        a.snap_save(&mut w);
+        let bytes = w.into_bytes();
+        let load = |cfg: ProtocolConfig| {
+            let mut r = ring_snapshot::SnapReader::new("agents", &bytes);
+            RingAgent::snap_load(&mut r, NodeId(3), cfg, CacheConfig::l2_512k())
+        };
+        let back = load(cfg).expect("the configured capacity loads");
+        assert_eq!(back.prefetch_predictor().len(), 1);
+        let mut larger = cfg;
+        larger.npp_entries = 32;
+        let mut off = cfg;
+        off.prefetch = false;
+        for other in [larger, off] {
+            assert!(matches!(
+                load(other),
+                Err(ring_snapshot::SnapshotError::Malformed { .. })
+            ));
+        }
     }
 
     #[test]

@@ -190,6 +190,17 @@ impl ProtocolConfig {
         }
     }
 
+    /// Capacity of each node's Node Prefetch Predictor: `npp_entries`
+    /// with prefetching on, 0 (a predictor that records nothing)
+    /// otherwise.
+    pub fn npp_capacity(&self) -> usize {
+        if self.prefetch {
+            self.npp_entries
+        } else {
+            0
+        }
+    }
+
     /// Uncorq+Pref: Uncorq with the §5.4 prefetching optimization.
     pub fn uncorq_pref() -> Self {
         ProtocolConfig {

@@ -30,13 +30,18 @@ use std::collections::VecDeque;
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct NodePrefetchPredictor {
     capacity: usize,
-    /// Lazy LRU queue of (addr, stamp); stale entries are skipped.
-    queue: VecDeque<(LineAddr, u64)>,
-    /// addr -> latest observation stamp. Keyed by small integers whose
-    /// iteration order is never observed, so the fast deterministic
-    /// hasher applies.
+    /// Lazy LRU queue, oldest first. Every observation pushes one entry
+    /// and every pop takes the front, so entry `i` was pushed at stamp
+    /// `front + i`; it is live iff `present` maps its address to that
+    /// stamp, and stale (superseded by a refresh) otherwise.
+    queue: VecDeque<LineAddr>,
+    /// Stamp of `queue[0]` (of the next observation while the queue is
+    /// empty).
+    front: u64,
+    /// addr -> stamp of its live queue entry. Keyed by small integers
+    /// whose iteration order is never observed, so the fast
+    /// deterministic hasher applies.
     present: FxHashMap<LineAddr, u64>,
-    tick: u64,
     observations: u64,
     prefetch_hits: u64,
     prefetch_suppressions: u64,
@@ -61,27 +66,29 @@ impl NodePrefetchPredictor {
             return;
         }
         self.observations += 1;
-        self.tick += 1;
-        self.present.insert(addr, self.tick);
-        self.queue.push_back((addr, self.tick));
+        let stamp = self.front + self.queue.len() as u64;
+        self.present.insert(addr, stamp);
+        self.queue.push_back(addr);
         // Evict least-recently-observed distinct addresses, skipping
         // stale queue entries superseded by a refresh.
         while self.present.len() > self.capacity {
             // Every present entry has a live queue entry, so the queue
             // cannot drain before the table shrinks below capacity.
-            let Some((old, stamp)) = self.queue.pop_front() else {
+            let Some(old) = self.queue.pop_front() else {
                 break;
             };
-            if self.present.get(&old) == Some(&stamp) {
+            if self.present.get(&old) == Some(&self.front) {
                 self.present.remove(&old);
             }
+            self.front += 1;
         }
         // Bound the lazy queue by trimming leading stale entries only
         // (live entries stay in place to preserve LRU order).
         while self.queue.len() > self.capacity * 4 {
             match self.queue.front() {
-                Some(&(old, stamp)) if self.present.get(&old) != Some(&stamp) => {
+                Some(old) if self.present.get(old) != Some(&self.front) => {
                     self.queue.pop_front();
+                    self.front += 1;
                 }
                 _ => break,
             }
@@ -98,6 +105,11 @@ impl NodePrefetchPredictor {
             self.prefetch_hits += 1;
         }
         !seen
+    }
+
+    /// The most distinct addresses the table remembers.
+    pub fn capacity(&self) -> usize {
+        self.capacity
     }
 
     /// Number of ring observations recorded.
@@ -125,66 +137,74 @@ impl NodePrefetchPredictor {
         self.present.is_empty()
     }
 
-    /// Hashes the predictor's behavioral state into `h`: the live LRU
-    /// sequence (stale queue entries and raw stamps are canonicalized
-    /// away) and the capacity. Statistics counters are excluded. Used by
-    /// the `ring-model` state-space explorer.
+    /// The remembered addresses, least recently observed first: the
+    /// queue with its stale entries skipped.
+    fn live(&self) -> impl Iterator<Item = LineAddr> + '_ {
+        (self.front..)
+            .zip(&self.queue)
+            .filter(|&(stamp, a)| self.present.get(a) == Some(&stamp))
+            .map(|(_, &a)| a)
+    }
+
+    /// Hashes the predictor's behavioral state into `h`: the capacity and
+    /// the live LRU sequence, oldest first (stale queue entries and
+    /// stamps are canonicalized away). Statistics counters are excluded.
+    /// Used by the `ring-model` state-space explorer.
     pub fn digest(&self, h: &mut impl std::hash::Hasher) {
         use std::hash::Hash;
         self.capacity.hash(h);
-        let live: Vec<LineAddr> = self
-            .queue
-            .iter()
-            .filter(|(a, stamp)| self.present.get(a) == Some(stamp))
-            .map(|&(a, _)| a)
-            .collect();
-        live.hash(h);
+        self.live().collect::<Vec<LineAddr>>().hash(h);
     }
 }
 
 impl NodePrefetchPredictor {
-    /// Serializes the predictor. The presence table is not stored: it is
-    /// a function of the queue. Every queued address is present at its
-    /// latest queued stamp, because the queue is stamp-ordered and
-    /// eviction pops from the front, so an address leaves `present` only
-    /// when its latest entry, and with it every older one, is popped.
+    /// Serializes the predictor: the capacity, the live LRU sequence
+    /// (oldest first) and the counters. Stale queue entries and stamps
+    /// are not stored; they carry no behavior.
     pub fn snap_save(&self, w: &mut ring_snapshot::SnapWriter) {
         w.put(&self.capacity);
-        w.put(&self.queue);
-        w.put(&self.tick);
+        w.put(&(self.present.len() as u64));
+        for a in self.live() {
+            w.put(&a);
+        }
         w.put(&self.observations);
         w.put(&self.prefetch_hits);
         w.put(&self.prefetch_suppressions);
     }
 
-    /// Rebuilds a predictor from a snapshot, rebuilding the presence
-    /// table from the queue.
+    /// Rebuilds a predictor from a snapshot: the live sequence becomes a
+    /// queue without stale entries.
     ///
     /// # Errors
     ///
-    /// `Malformed` (naming the reader's section) if the queue's stamps
-    /// are not strictly increasing, the order the rebuild relies on.
+    /// `Malformed` (naming the reader's section) if the sequence is longer
+    /// than the capacity or lists an address twice: no LRU table holds
+    /// either.
     pub fn snap_load(
         r: &mut ring_snapshot::SnapReader<'_>,
     ) -> Result<Self, ring_snapshot::SnapshotError> {
         let capacity: usize = r.get()?;
-        let queue: VecDeque<(LineAddr, u64)> = r.get()?;
-        if queue
-            .iter()
-            .zip(queue.iter().skip(1))
-            .any(|(a, b)| a.1 >= b.1)
-        {
-            return Err(r.malformed("NPP queue stamps are not strictly increasing"));
+        let n = r.get_len()?;
+        if n > capacity {
+            return Err(r.malformed(format!(
+                "NPP holds {n} addresses, more than its capacity {capacity}"
+            )));
         }
+        let mut queue = VecDeque::with_capacity(n);
         let mut present = FxHashMap::default();
-        for &(a, s) in &queue {
-            present.insert(a, s);
+        present.reserve(n);
+        for stamp in 0..n as u64 {
+            let a: LineAddr = r.get()?;
+            if present.insert(a, stamp).is_some() {
+                return Err(r.malformed(format!("NPP lists line {} twice", a.raw())));
+            }
+            queue.push_back(a);
         }
         Ok(NodePrefetchPredictor {
             capacity,
             queue,
+            front: 0,
             present,
-            tick: r.get()?,
             observations: r.get()?,
             prefetch_hits: r.get()?,
             prefetch_suppressions: r.get()?,
@@ -248,39 +268,126 @@ mod tests {
         w.into_bytes()
     }
 
-    #[test]
-    fn snapshot_rebuilds_presence_from_the_queue() {
-        let mut npp = NodePrefetchPredictor::new(3);
-        // Refreshes, evictions and stale-entry trimming all leave stale
-        // queue entries behind.
-        for a in [
-            1, 2, 1, 3, 4, 1, 5, 5, 2, 6, 1, 1, 7, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3,
-        ] {
-            npp.observe(LineAddr::new(a));
-        }
-        let bytes = saved(&npp);
-        let mut r = ring_snapshot::SnapReader::new("agents", &bytes);
-        let back = NodePrefetchPredictor::snap_load(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(back.present, npp.present);
-        assert_eq!(back.queue, npp.queue);
-        assert_eq!(saved(&back), bytes);
+    fn loaded(bytes: &[u8]) -> Result<NodePrefetchPredictor, ring_snapshot::SnapshotError> {
+        let mut r = ring_snapshot::SnapReader::new("agents", bytes);
+        let npp = NodePrefetchPredictor::snap_load(&mut r)?;
+        r.finish()?;
+        Ok(npp)
+    }
+
+    fn digest_of(npp: &NodePrefetchPredictor) -> u64 {
+        use std::hash::Hasher;
+        let mut h = ring_sim::FxHasher::default();
+        npp.digest(&mut h);
+        h.finish()
     }
 
     #[test]
-    fn unordered_queue_stamps_are_malformed() {
+    fn snapshot_stores_the_live_sequence_only() {
+        let mut npp = NodePrefetchPredictor::new(3);
+        // Refreshes and evictions leave stale queue entries behind.
+        for a in [1, 2, 1, 3, 4, 1, 5, 5, 2, 6, 1, 1, 7, 3, 3, 3] {
+            npp.observe(LineAddr::new(a));
+        }
+        assert!(npp.queue.len() > npp.len(), "the queue holds stale entries");
+        let bytes = saved(&npp);
+        let mut want = ring_snapshot::SnapWriter::new();
+        want.put(&3usize);
+        want.put(&[1u64, 7, 3].map(LineAddr::new).to_vec());
+        for counter in [16u64, 0, 0] {
+            want.put(&counter);
+        }
+        assert_eq!(bytes, want.into_bytes());
+        let back = loaded(&bytes).unwrap();
+        assert_eq!(back.queue, [1, 7, 3].map(LineAddr::new));
+        assert_eq!(saved(&back), bytes);
+        assert_eq!(digest_of(&back), digest_of(&npp));
+    }
+
+    /// An encoded predictor of `capacity` listing `live`.
+    fn encoded(capacity: usize, live: &[u64]) -> Vec<u8> {
         let mut w = ring_snapshot::SnapWriter::new();
-        w.put(&4usize);
-        w.put(&vec![(LineAddr::new(1), 5u64), (LineAddr::new(2), 5u64)]);
-        for _ in 0..4 {
+        w.put(&capacity);
+        w.put(&live.iter().map(|&a| LineAddr::new(a)).collect::<Vec<_>>());
+        for _ in 0..3 {
             w.put(&0u64);
         }
-        let bytes = w.into_bytes();
-        let mut r = ring_snapshot::SnapReader::new("agents", &bytes);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn sequence_longer_than_capacity_is_malformed() {
+        assert!(loaded(&encoded(2, &[1, 2])).is_ok());
         assert!(matches!(
-            NodePrefetchPredictor::snap_load(&mut r),
+            loaded(&encoded(2, &[1, 2, 3])),
             Err(ring_snapshot::SnapshotError::Malformed { .. })
         ));
+    }
+
+    #[test]
+    fn address_listed_twice_is_malformed() {
+        assert!(matches!(
+            loaded(&encoded(4, &[1, 2, 1])),
+            Err(ring_snapshot::SnapshotError::Malformed { .. })
+        ));
+    }
+
+    /// The specification: an exact LRU over distinct addresses, most
+    /// recently observed at the back.
+    struct NaiveLru {
+        capacity: usize,
+        order: VecDeque<LineAddr>,
+        observations: u64,
+    }
+
+    impl NaiveLru {
+        fn observe(&mut self, a: LineAddr) {
+            if self.capacity == 0 {
+                return;
+            }
+            self.observations += 1;
+            if let Some(i) = self.order.iter().position(|&x| x == a) {
+                self.order.remove(i);
+            }
+            self.order.push_back(a);
+            if self.order.len() > self.capacity {
+                self.order.pop_front();
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The lazy queue behaves as the naive LRU step for step, and a
+        /// snapshot round trip anywhere in the stream is lossless. Runs
+        /// of one address pile stale entries up behind a live front, so
+        /// the queue's length bound is reached with a live front too.
+        #[test]
+        fn matches_a_naive_exact_lru(
+            cap_ix in 0usize..6,
+            steps in proptest::collection::vec((0u64..12, 1usize..10, 0u64..12, 0u32..8), 1..400),
+        ) {
+            let capacity = [0, 1, 2, 3, 7, 64][cap_ix];
+            let mut npp = NodePrefetchPredictor::new(capacity);
+            let mut lru = NaiveLru { capacity, order: VecDeque::new(), observations: 0 };
+            for (seen, run, probe, roll) in steps {
+                for _ in 0..run {
+                    npp.observe(LineAddr::new(seen));
+                    lru.observe(LineAddr::new(seen));
+                }
+                let probe = LineAddr::new(probe);
+                proptest::prop_assert_eq!(npp.should_prefetch(probe), !lru.order.contains(&probe));
+                proptest::prop_assert_eq!(npp.len(), lru.order.len());
+                proptest::prop_assert_eq!(npp.observations(), lru.observations);
+                proptest::prop_assert!(npp.live().eq(lru.order.iter().copied()));
+                if roll == 0 {
+                    let bytes = saved(&npp);
+                    let back = loaded(&bytes).expect("a saved predictor loads");
+                    proptest::prop_assert_eq!(saved(&back), bytes);
+                    proptest::prop_assert_eq!(digest_of(&back), digest_of(&npp));
+                    npp = back;
+                }
+            }
+        }
     }
 
     #[test]

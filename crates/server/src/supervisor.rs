@@ -1012,6 +1012,49 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
     }
 
+    /// Snapshot schemas have no migration path. A session whose trail
+    /// holds only files of the previous schema (re-stamped here, CRC
+    /// fixed) has nothing to resume from, so rediscovery skips it, as it
+    /// skips any trail it cannot verify; the same trail at the current
+    /// schema is rediscovered.
+    #[test]
+    fn trail_of_the_previous_snapshot_schema_is_skipped() {
+        let root = temp_root("schema");
+        let mut cfg = ServerConfig::new(&root);
+        cfg.checkpoint_every = 200;
+        let mut sup = Supervisor::new(cfg.clone());
+        sup.create("a", tiny_spec(), None).unwrap();
+        sup.start("a").unwrap();
+        wait_for(&mut sup, |s| state(s, "a") == SessionState::Finished);
+        sup.kill("a").unwrap();
+        drop(sup);
+        let trail = list_checkpoints(&root.join("a"));
+        assert!(!trail.is_empty());
+        let current: Vec<Vec<u8>> = trail.iter().map(|p| std::fs::read(p).unwrap()).collect();
+        for (path, bytes) in trail.iter().zip(&current) {
+            let mut old = bytes.clone();
+            // The schema is the first header field, at offset 16; the
+            // header CRC follows the header.
+            let header_len = u64::from_le_bytes(old[8..16].try_into().unwrap()) as usize;
+            old[16..20].copy_from_slice(&(ring_snapshot::SCHEMA_VERSION - 1).to_le_bytes());
+            let crc = ring_snapshot::crc32(&old[16..16 + header_len]);
+            old[16 + header_len..20 + header_len].copy_from_slice(&crc.to_le_bytes());
+            assert!(matches!(
+                ring_snapshot::SnapshotFile::decode(&old),
+                Err(SnapshotError::BadVersion { .. })
+            ));
+            std::fs::write(path, old).unwrap();
+        }
+        assert_eq!(Supervisor::new(cfg.clone()).rediscover(), 0);
+        for (path, bytes) in trail.iter().zip(&current) {
+            std::fs::write(path, bytes).unwrap();
+        }
+        let mut sup = Supervisor::new(cfg);
+        assert_eq!(sup.rediscover(), 1);
+        sup.kill("a").unwrap();
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
     #[test]
     fn unknown_session_is_typed() {
         let root = temp_root("unknown");

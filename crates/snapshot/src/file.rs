@@ -13,8 +13,10 @@ pub const MAGIC: [u8; 8] = *b"RINGSNAP";
 /// [`SnapshotError::BadVersion`] rather than misdecoded.
 ///
 /// Version 2 stores cache arrays, the controller prefetch predictor and
-/// the node prefetch predictor compactly (live state only).
-pub const SCHEMA_VERSION: u32 = 2;
+/// the node prefetch predictor compactly (live state only). Version 3
+/// stores the node prefetch predictor as its live LRU sequence alone,
+/// without stale queue entries or stamps.
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// Snapshot provenance: what produced this file and where in the run it
 /// was taken.
@@ -317,9 +319,10 @@ mod tests {
 
     #[test]
     fn version_gate() {
-        // Schema 1 (dense sections) has no migration path, and neither
-        // has an unknown future version.
-        for version in [1u8, 0xFE] {
+        // Schemas 1 (dense sections) and 2 (stamped prefetch-predictor
+        // queues) have no migration path, and neither has an unknown
+        // future version.
+        for version in [1u8, 2, 0xFE] {
             let mut b = sample();
             // Schema version is the first header field, at offset 16.
             b[16] = version;

@@ -25,8 +25,10 @@ impl NodeAgent for HtAgent {
         HtAgent::new(node, cfg.nodes(), cfg.protocol.snoop_latency, cfg.l2)
     }
 
-    fn warm_line(m: &mut HtMachine, line: LineAddr, owner: usize) {
-        m.agents[owner].install_line(line, LineState::Exclusive);
+    fn warm(m: &mut HtMachine, lines: &[(LineAddr, usize)]) {
+        for &(line, owner) in lines {
+            m.agents[owner].install_line(line, LineState::Exclusive);
+        }
     }
 
     fn handle_into(&mut self, now: Cycle, input: HtInput, fx: &mut Vec<HtEffect>) {

@@ -7,7 +7,7 @@
 
 use ring_cache::{CacheArray, LineAddr};
 use ring_coherence::ht::HtAgent;
-use ring_coherence::{AgentInput, ProtocolKind, RingAgent, TxnId, TxnKind};
+use ring_coherence::{AgentInput, NodePrefetchPredictor, ProtocolKind, RingAgent, TxnId, TxnKind};
 use ring_cpu::Core;
 use ring_mem::{ControllerPrefetchPredictor, MemoryController, PrefetchBuffer};
 use ring_noc::{
@@ -103,9 +103,10 @@ pub trait NodeAgent: Sized {
     /// The agent for `node` of a machine configured by `cfg`; `rng` is
     /// the machine's root generator, for agents that fork their own.
     fn build(node: NodeId, cfg: &MachineConfig, rng: &mut DetRng) -> Self;
-    /// Pre-installs one shared line at `owner`, plus whatever warm-up
-    /// the protocol's predictors need (the paper skips initialization).
-    fn warm_line(m: &mut Sim<Self>, line: LineAddr, owner: usize);
+    /// Pre-installs each shared line at its owner, in order, plus
+    /// whatever warm-up the protocol's predictors need (the paper skips
+    /// initialization).
+    fn warm(m: &mut Sim<Self>, lines: &[(LineAddr, usize)]);
     /// Handles one input at cycle `now`, appending its effects to `fx`.
     fn handle_into(&mut self, now: Cycle, input: Self::Input, fx: &mut Vec<Self::Effect>);
     /// Carries out, and drains, the effects node `n` asked for at `t`.
@@ -335,9 +336,12 @@ impl<A: NodeAgent> Sim<A> {
         // Warm the shared regions: pool lines interleave round-robin and
         // producer-consumer buffers start at their producing core, all in
         // a supplier state.
-        for (raw, owner) in profile.warm_lines(nodes) {
-            A::warm_line(&mut m, LineAddr::new(raw), owner);
-        }
+        let lines: Vec<(LineAddr, usize)> = profile
+            .warm_lines(nodes)
+            .into_iter()
+            .map(|(raw, owner)| (LineAddr::new(raw), owner))
+            .collect();
+        A::warm(&mut m, &lines);
         m
     }
 
@@ -1131,9 +1135,13 @@ impl Machine {
         }
         let nodes = cfg.nodes();
         // Build the structural skeleton (topology, rings, config-derived
-        // wiring) the normal way, then overwrite every piece of dynamic
-        // state from the snapshot.
-        let mut m = Machine::new(cfg, profile);
+        // wiring) without op streams or warm-up, then overwrite every
+        // piece of dynamic state from the snapshot.
+        let idle = (0..nodes)
+            .map(|_| Box::new(std::iter::empty()) as Box<dyn Iterator<Item = ring_cpu::Op> + Send>)
+            .collect();
+        let mut m = Machine::with_streams(cfg, idle);
+        m.workload_fp = checkpoint::workload_fingerprint(profile);
 
         let mut r = file.section("machine")?;
         let fp: u64 = r.get()?;
@@ -1334,13 +1342,21 @@ impl NodeAgent for RingAgent {
         RingAgent::new(node, cfg.protocol, cfg.l2, rng.fork(node.0 as u64))
     }
 
-    fn warm_line(m: &mut Machine, line: LineAddr, owner: usize) {
+    fn warm(m: &mut Machine, lines: &[(LineAddr, usize)]) {
+        for &(line, owner) in lines {
+            m.agents[owner].install_line(line, ring_cache::LineState::Exclusive);
+            m.cpp.mark_fetched(line);
+        }
         // Every node's prefetch predictor has seen the warm lines: they
-        // were coherence traffic during the skipped initialization.
-        m.agents[owner].install_line(line, ring_cache::LineState::Exclusive);
-        m.cpp.mark_fetched(line);
+        // were coherence traffic during the skipped initialization. Each
+        // would observe the same lines in the same order, so one
+        // predictor observes them and every agent gets its own copy.
+        let mut npp = NodePrefetchPredictor::new(m.cfg.protocol.npp_capacity());
+        for &(line, _) in lines {
+            npp.observe(line);
+        }
         for agent in &mut m.agents {
-            agent.npp_observe(line);
+            agent.warm_prefetch_predictor(&npp);
         }
     }
 
@@ -1511,6 +1527,39 @@ mod tests {
         assert_eq!(a.exec_cycles, b.exec_cycles);
         assert_eq!(a.stats.read_misses(), b.stats.read_misses());
         assert_eq!(a.stats.traffic, b.stats.traffic);
+    }
+
+    /// Copying one warm predictor to every agent is exact: each agent's
+    /// prefetch predictor encodes to the bytes of a fresh predictor that
+    /// observed the warm lines in order, as every agent once did itself.
+    #[test]
+    fn every_agent_starts_from_the_warm_prefetch_image() {
+        let profile = AppProfile::by_name("fmm").expect("fmm profile");
+        for side in [4, 8] {
+            let mut cfg =
+                MachineConfig::with_protocol(ring_coherence::ProtocolVariant::UncorqPref.config());
+            (cfg.width, cfg.height) = (side, side);
+            let m = Machine::new(cfg.clone(), &profile);
+            let encode = |npp: &NodePrefetchPredictor| {
+                let mut w = SnapWriter::new();
+                npp.snap_save(&mut w);
+                w.into_bytes()
+            };
+            let mut fresh = NodePrefetchPredictor::new(cfg.protocol.npp_entries);
+            let warm = profile.warm_lines(cfg.nodes());
+            for &(raw, _) in &warm {
+                fresh.observe(LineAddr::new(raw));
+            }
+            assert_eq!(fresh.observations(), warm.len() as u64);
+            assert!(!fresh.is_empty());
+            let want = encode(&fresh);
+            for (n, agent) in m.agents().iter().enumerate() {
+                assert!(
+                    encode(agent.prefetch_predictor()) == want,
+                    "{side}x{side} node {n}: warm prefetch predictor differs"
+                );
+            }
+        }
     }
 
     #[test]

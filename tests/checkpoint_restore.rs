@@ -213,17 +213,24 @@ fn restore_then_snapshot_reproduces_the_image() {
     }
 }
 
-/// A size pin: the mid-run snapshot of the uncorq session cell stores
-/// live state only. Dense cache and predictor tables made it 2.8 MB.
+/// A size pin: the mid-run snapshots of the uncorq and uncorq+pref
+/// session cells store live state only. Dense cache and predictor
+/// tables made uncorq's 2.8 MB; stale prefetch-predictor queue entries
+/// and their stamps made uncorq+pref's 2.2 MB.
 #[test]
 fn mid_run_snapshot_stays_compact() {
-    let cfg = cfg_for(ProtocolVariant::Uncorq, "clean", 2007);
-    let bytes = paused_mid_run(&cfg, &specweb()).snapshot().encode();
-    assert!(
-        bytes.len() < 512 * 1024,
-        "uncorq 4x4 SPECweb mid-run snapshot is {} bytes",
-        bytes.len()
-    );
+    for (variant, bound) in [
+        (ProtocolVariant::Uncorq, 512 * 1024),
+        (ProtocolVariant::UncorqPref, 1280 * 1024),
+    ] {
+        let cfg = cfg_for(variant, "clean", 2007);
+        let bytes = paused_mid_run(&cfg, &specweb()).snapshot().encode();
+        assert!(
+            bytes.len() < bound,
+            "{variant} 4x4 SPECweb mid-run snapshot is {} bytes",
+            bytes.len()
+        );
+    }
 }
 
 /// Retention bound (`--checkpoint-keep` / `set_checkpoint_retention`):
