@@ -11,8 +11,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
 use ring_coherence::ProtocolVariant;
-use ring_system::{Machine, Protocol, Report, RunSpec};
-use ring_trace::{TraceEvent, TraceSink};
+use ring_system::{Machine, Protocol, RunSpec};
 
 /// One cell of the sweep grid.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,7 +82,7 @@ pub struct CellResult {
     pub events: u64,
     /// Peak pending-event count (queue working set).
     pub peak_queue: usize,
-    /// FNV-1a digest of the full stats listing ([`report_digest`]).
+    /// FNV-1a digest of the full stats listing ([`ring_system::Report::digest`]).
     pub digest: u64,
     /// Median read-miss completion latency in cycles (p50 over both
     /// cache-to-cache and memory-serviced reads).
@@ -139,7 +138,7 @@ pub fn run_cell(cell: &SweepCell, workers: usize) -> CellResult {
         exec_cycles: report.exec_cycles,
         events: report.stats.events,
         peak_queue: m.queue_peak(),
-        digest: report_digest(&report),
+        digest: report.digest(),
         lat_p50: reads.p50(),
         lat_p99: reads.p99(),
     }
@@ -181,61 +180,6 @@ pub fn run_sweep(cells: &[SweepCell], threads: usize, workers: usize) -> Vec<Cel
             .map(|(i, r)| r.unwrap_or_else(|| panic!("cell {} never completed", cells[i].label())))
             .collect()
     })
-}
-
-/// 64-bit FNV-1a over a byte string.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// Digest of a run's full plain-text stats listing: two runs with the
-/// same digest produced identical reports, field for field.
-pub fn report_digest(r: &Report) -> u64 {
-    let mut buf = Vec::new();
-    r.write_stats(&mut buf)
-        .expect("writing to a Vec cannot fail");
-    fnv1a(&buf)
-}
-
-/// A [`TraceSink`] that folds every event's canonical JSONL rendering
-/// into an FNV-1a digest — a cheap fingerprint of the complete trace
-/// stream. Clones share state: install one clone into the machine and
-/// read the digest from the other.
-#[derive(Debug, Clone, Default)]
-pub struct DigestSink {
-    state: std::sync::Arc<std::sync::Mutex<(u64, u64)>>,
-}
-
-impl DigestSink {
-    /// A fresh digest (FNV offset basis, zero events).
-    pub fn new() -> Self {
-        DigestSink {
-            state: std::sync::Arc::new(std::sync::Mutex::new((0xcbf2_9ce4_8422_2325, 0))),
-        }
-    }
-
-    /// `(digest, events recorded)` so far.
-    pub fn digest(&self) -> (u64, u64) {
-        *self.state.lock().unwrap()
-    }
-}
-
-impl TraceSink for DigestSink {
-    fn record(&mut self, ev: &TraceEvent) {
-        let mut st = self.state.lock().unwrap();
-        for &b in ev.to_jsonl().as_bytes() {
-            st.0 ^= b as u64;
-            st.0 = st.0.wrapping_mul(0x100_0000_01b3);
-        }
-        st.0 ^= b'\n' as u64;
-        st.0 = st.0.wrapping_mul(0x100_0000_01b3);
-        st.1 += 1;
-    }
 }
 
 /// The default sweep grid: every [`ProtocolVariant`] on 16- and 64-node
@@ -297,14 +241,6 @@ mod tests {
                 ops: 60,
             },
         ]
-    }
-
-    #[test]
-    fn fnv1a_matches_reference_vectors() {
-        // Published FNV-1a test vectors.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
     }
 
     #[test]

@@ -15,11 +15,11 @@
 //! `cargo test --release -p bench --test golden_digest -- --ignored --nocapture`
 //! and paste the printed table over `GOLDEN`.
 
-use bench::sweep::{report_digest, run_sweep, DigestSink, SweepCell};
+use bench::sweep::{run_sweep, SweepCell};
 use ring_coherence::ProtocolVariant;
 use ring_noc::{FaultPlan, FaultProfile, ReliabilityConfig};
 use ring_system::{restore_latest, HtMachine, Machine, MachineConfig};
-use ring_trace::SharedBufferSink;
+use ring_trace::{DigestSink, SharedBufferSink};
 use ring_workloads::AppProfile;
 
 /// Seed shared by every golden cell.
@@ -68,7 +68,7 @@ fn digest_cell_at(
         "{variant} {width}x{height} x{threads}t hit the cycle cap"
     );
     let (trace_digest, trace_events) = sink.digest();
-    (report_digest(&r), trace_digest, trace_events)
+    (r.digest(), trace_digest, trace_events)
 }
 
 fn digest_cell(variant: ProtocolVariant, width: usize, height: usize) -> (u64, u64, u64) {
@@ -190,7 +190,7 @@ fn golden_digests_ht() {
         assert!(r.finished, "HT at {w}x{h} hit the cycle cap");
         let (t, n) = sink.digest();
         assert_eq!(
-            (report_digest(&r), t, n),
+            (r.digest(), t, n),
             (report, trace, events),
             "HT at {w}x{h}: digests diverged from golden"
         );
@@ -254,7 +254,7 @@ fn disabled_reliability_reproduces_golden_digests() {
         let r = m.try_run().expect("no stall");
         let (t, n) = sink.digest();
         assert_eq!(
-            (report_digest(&r), t, n),
+            (r.digest(), t, n),
             (report, trace, events),
             "{variant} at {w}x{h}: disabled reliability must be byte-identical to golden"
         );
@@ -286,7 +286,7 @@ fn flight_recorder_reproduces_golden_digests() {
         let r = m.try_run().expect("no stall");
         let (t, n) = sink.digest();
         assert_eq!(
-            (report_digest(&r), t, n),
+            (r.digest(), t, n),
             (report, trace, events),
             "{variant} at {w}x{h}: an installed flight recorder must be byte-identical to golden"
         );
@@ -301,7 +301,7 @@ fn flight_recorder_reproduces_golden_digests() {
     let r = m.try_run().expect("no stall");
     let (t, n) = sink.digest();
     assert_eq!(
-        (report_digest(&r), t, n),
+        (r.digest(), t, n),
         (report, trace, events),
         "HT at {w}x{h}: an installed flight recorder must be byte-identical to golden"
     );
@@ -337,7 +337,7 @@ fn active_checkpointing_reproduces_golden_digests() {
         let r = m.try_run().expect("no stall");
         let (t, n) = sink.digest();
         assert_eq!(
-            (report_digest(&r), t, n),
+            (r.digest(), t, n),
             (report, trace, events),
             "{variant} at {w}x{h}: active checkpointing must be byte-identical to golden"
         );
@@ -433,7 +433,7 @@ fn crash_recovery_is_byte_identical_for_all_variants() {
             .scaled(ops_for(w * h));
         let r = Machine::new(cfg.clone(), &profile).run();
         assert_eq!(
-            report_digest(&r),
+            r.digest(),
             report,
             "{variant}: reference diverged from golden before the drill even started"
         );

@@ -1972,52 +1972,60 @@ impl RingAgent {
         );
     }
 
-    /// Rebuilds an agent from configuration plus snapshot state.
+    /// Decodes snapshot state into this agent, which was built for the
+    /// snapshotted node and configuration (a restore skeleton's agent):
+    /// every piece of dynamic state is overwritten, while the node, the
+    /// configuration, the supplier table and the tracing switch stay as
+    /// built.
+    ///
+    /// # Errors
+    ///
+    /// `Malformed` when the snapshot's presence filter or prefetch
+    /// predictor does not fit the configuration; decoding errors as they
+    /// arise.
     pub fn snap_load(
+        &mut self,
         r: &mut ring_snapshot::SnapReader<'_>,
-        node: NodeId,
-        cfg: ProtocolConfig,
-        l2_cfg: CacheConfig,
-    ) -> Result<Self, ring_snapshot::SnapshotError> {
-        let mut a = RingAgent::new(node, cfg, l2_cfg, DetRng::seed(0));
-        a.l2 = CacheArray::snap_load(r, l2_cfg)?;
-        a.ltt = Ltt::snap_load(r, cfg.ltt)?;
+    ) -> Result<(), ring_snapshot::SnapshotError> {
+        let cfg = self.cfg;
+        self.l2 = CacheArray::snap_load(r, *self.l2.config())?;
+        self.ltt = Ltt::snap_load(r, cfg.ltt)?;
         let has_filter: bool = r.get()?;
-        if has_filter != a.filter.is_some() {
+        if has_filter != self.filter.is_some() {
             return Err(
                 r.malformed("presence-filter presence does not match the protocol configuration")
             );
         }
         if has_filter {
-            a.filter = Some(PresenceFilter::snap_load(r)?);
+            self.filter = Some(PresenceFilter::snap_load(r)?);
         }
-        a.npp = NodePrefetchPredictor::snap_load(r)?;
-        if a.npp.capacity() != cfg.npp_capacity() {
+        self.npp = NodePrefetchPredictor::snap_load(r)?;
+        if self.npp.capacity() != cfg.npp_capacity() {
             return Err(r.malformed(format!(
                 "prefetch predictor capacity {} does not match the configured {}",
-                a.npp.capacity(),
+                self.npp.capacity(),
                 cfg.npp_capacity()
             )));
         }
-        a.outstanding = Mshr::snap_load_with(r, |r| r.get::<OwnTx>())?;
-        a.pending_core = r.get()?;
-        a.retry_info = r.get()?;
-        a.squash_set = r.get()?;
-        a.held_requests = r.get()?;
-        a.forward_on_snoop = r.get()?;
-        a.snoop_delay_budget = r.get()?;
-        a.starving = r.get()?;
-        a.serial = r.get()?;
-        a.rng = DetRng::from_state(r.get()?);
-        a.stats = r.get()?;
+        self.outstanding = Mshr::snap_load_with(r, |r| r.get::<OwnTx>())?;
+        self.pending_core = r.get()?;
+        self.retry_info = r.get()?;
+        self.squash_set = r.get()?;
+        self.held_requests = r.get()?;
+        self.forward_on_snoop = r.get()?;
+        self.snoop_delay_budget = r.get()?;
+        self.starving = r.get()?;
+        self.serial = r.get()?;
+        self.rng = DetRng::from_state(r.get()?);
+        self.stats = r.get()?;
         let trace: Vec<String> = r.get()?;
-        a.trace_buf = trace
+        self.trace_buf = trace
             .iter()
             .map(|line| {
                 TraceEvent::from_jsonl(line).map_err(|e| r.malformed(format!("trace event: {e}")))
             })
             .collect::<Result<Vec<TraceEvent>, _>>()?;
-        Ok(a)
+        Ok(())
     }
 }
 
@@ -2220,7 +2228,8 @@ mod tests {
         let bytes = w.into_bytes();
         let load = |cfg: ProtocolConfig| {
             let mut r = ring_snapshot::SnapReader::new("agents", &bytes);
-            RingAgent::snap_load(&mut r, NodeId(3), cfg, CacheConfig::l2_512k())
+            let mut b = RingAgent::new(NodeId(3), cfg, CacheConfig::l2_512k(), DetRng::seed(0));
+            b.snap_load(&mut r).map(|()| b)
         };
         let back = load(cfg).expect("the configured capacity loads");
         assert_eq!(back.prefetch_predictor().len(), 1);

@@ -15,6 +15,7 @@ use crate::proto::TableAudit;
 use crate::rules::{Finding, Severity, RULES};
 use crate::waitfor::DeadlockProof;
 use ring_model::VariantAnalysis;
+use ring_trace::json::quote;
 
 /// Everything one ringlint run produced.
 #[derive(Debug, Clone, Default)]
@@ -78,9 +79,9 @@ impl Report {
             let _ = write!(
                 s,
                 "    {{\"id\": {}, \"severity\": {}, \"description\": {}}}",
-                esc(r.id),
-                esc(r.severity.name()),
-                esc(r.description)
+                quote(r.id),
+                quote(r.severity.name()),
+                quote(r.description)
             );
             s.push_str(if i + 1 < RULES.len() { ",\n" } else { "\n" });
         }
@@ -92,13 +93,13 @@ impl Report {
                 s,
                 "    {{\"rule\": {}, \"severity\": {}, \"path\": {}, \"line\": {}, \
                  \"message\": {}, \"snippet\": {}, \"allowed\": {}}}",
-                esc(f.rule),
-                esc(f.severity.name()),
-                esc(&f.rel_path),
+                quote(f.rule),
+                quote(f.severity.name()),
+                quote(&f.rel_path),
                 f.line,
-                esc(&f.message),
-                esc(&f.snippet),
-                f.allowed.as_deref().map_or("null".to_string(), esc),
+                quote(&f.message),
+                quote(&f.snippet),
+                f.allowed.as_deref().map_or("null".to_string(), quote),
             );
             s.push_str(if i + 1 < self.findings.len() {
                 ",\n"
@@ -113,7 +114,7 @@ impl Report {
             if i > 0 {
                 s.push_str(", ");
             }
-            let _ = write!(s, "{{\"line\": {line}, \"problem\": {}}}", esc(msg));
+            let _ = write!(s, "{{\"line\": {line}, \"problem\": {}}}", quote(msg));
         }
         s.push_str("], \"stale\": [");
         for (i, e) in self.stale_allows.iter().enumerate() {
@@ -123,8 +124,8 @@ impl Report {
             let _ = write!(
                 s,
                 "{{\"rule\": {}, \"path\": {}, \"line\": {}}}",
-                esc(&e.rule),
-                esc(&e.rel_path),
+                quote(&e.rule),
+                quote(&e.rel_path),
                 e.line
             );
         }
@@ -145,8 +146,8 @@ impl Report {
                         "\"{key}\": {{\"clean\": {}, \"dead_rows\": {}, \"overlaps\": {}, \
                          \"rows\": {}}}",
                         a.is_clean(),
-                        esc_list(&a.dead_rows),
-                        esc_list(&a.overlaps),
+                        str_list(a.dead_rows.iter().map(String::as_str)),
+                        str_list(a.overlaps.iter().map(String::as_str)),
                         a.unique_matches.len()
                     );
                 }
@@ -164,7 +165,7 @@ impl Report {
                 "    {{\"variant\": {}, \"sound\": {}, \"supplier_holes\": {}, \
                  \"supplier_ambiguities\": {}, \"decision_holes\": {}, \
                  \"decision_ambiguities\": {}}}",
-                esc(v.variant.name()),
+                quote(v.variant.name()),
                 v.is_sound(),
                 v.supplier.holes.len() + v.supplier_keep.holes.len(),
                 v.supplier.ambiguities.len() + v.supplier_keep.ambiguities.len(),
@@ -181,19 +182,18 @@ impl Report {
 
         s.push_str("  \"deadlock\": [\n");
         for (i, p) in self.proofs.iter().enumerate() {
-            let topo: Vec<String> = p.topo_order.iter().map(|r| r.name().to_string()).collect();
             let cycle = match &p.cycle {
-                Some(c) => esc_list(&c.iter().map(|r| r.name().to_string()).collect::<Vec<_>>()),
+                Some(c) => str_list(c.iter().map(|r| r.name())),
                 None => "null".to_string(),
             };
             let _ = write!(
                 s,
                 "    {{\"variant\": {}, \"acyclic\": {}, \"live_edges\": {}, \
                  \"topological_order\": {}, \"cycle\": {}, \"discharged\": [",
-                esc(p.variant.name()),
+                quote(p.variant.name()),
                 p.acyclic,
                 p.live_edges,
-                esc_list(&topo),
+                str_list(p.topo_order.iter().map(|r| r.name())),
                 cycle
             );
             for (j, e) in p.discharged.iter().enumerate() {
@@ -203,10 +203,10 @@ impl Report {
                 let _ = write!(
                     s,
                     "{{\"from\": {}, \"to\": {}, \"wait\": {}, \"rank_argument\": {}}}",
-                    esc(e.from.name()),
-                    esc(e.to.name()),
-                    esc(&e.reason),
-                    esc(e.discharged.as_deref().unwrap_or(""))
+                    quote(e.from.name()),
+                    quote(e.to.name()),
+                    quote(&e.reason),
+                    quote(e.discharged.as_deref().unwrap_or(""))
                 );
             }
             s.push_str("]}");
@@ -224,11 +224,11 @@ impl Report {
                 s,
                 "    {{\"id\": {}, \"config\": {}, \"status\": {}, \"formula\": {}, \
                  \"detail\": {}}}",
-                esc(b.id),
-                esc(&b.config),
-                esc(b.status.name()),
-                esc(&b.formula),
-                esc(&b.detail)
+                quote(b.id),
+                quote(&b.config),
+                quote(b.status.name()),
+                quote(&b.formula),
+                quote(&b.detail)
             );
             s.push_str(if i + 1 < self.bounds.len() {
                 ",\n"
@@ -357,59 +357,40 @@ impl Report {
     }
 }
 
-/// JSON string escape.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn esc_list(items: &[String]) -> String {
-    let mut out = String::from("[");
-    for (i, s) in items.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&esc(s));
-    }
-    out.push(']');
-    out
+/// A JSON array of strings, with the `", "` separators of the
+/// `ringlint-v1` layout.
+fn str_list<'a>(items: impl IntoIterator<Item = &'a str>) -> String {
+    let quoted: Vec<String> = items.into_iter().map(quote).collect();
+    format!("[{}]", quoted.join(", "))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn esc_handles_specials() {
-        assert_eq!(esc("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(esc("\u{1}"), "\"\\u0001\"");
+    use ring_trace::json::Json;
+
+    fn count(v: &Json, key: &str) -> usize {
+        match v.get(key) {
+            Some(Json::Arr(items)) => items.len(),
+            other => panic!("`{key}` is not an array: {other:?}"),
+        }
     }
 
     #[test]
     fn empty_report_gates_ok_and_renders() {
         let r = Report::default();
         assert!(r.gate_ok());
-        let j = r.to_json();
-        assert!(j.contains("\"schema\": \"ringlint-v1\""));
-        assert!(j.contains("\"ok\": true"));
-        // Must be structurally balanced.
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
+        let j = Json::parse(&r.to_json()).expect("ringlint-v1 is JSON");
+        assert_eq!(j.get("schema").and_then(Json::as_str), Some("ringlint-v1"));
+        assert_eq!(j.get("files_scanned").and_then(Json::as_u64), Some(0));
+        assert_eq!(count(&j, "rules"), RULES.len());
+        assert_eq!(count(&j, "findings"), 0);
+        let gate = j.get("gate").expect("gate");
+        assert_eq!(gate.get("ok").and_then(Json::as_bool), Some(true));
+        assert_eq!(gate.get("open_findings").and_then(Json::as_u64), Some(0));
+        let tables = j.get("tables").expect("tables");
+        assert_eq!(tables.get("supplier"), Some(&Json::Null));
     }
 
     #[test]
@@ -430,8 +411,8 @@ mod tests {
     }
 
     #[test]
-    fn full_report_json_is_balanced() {
-        let r = Report {
+    fn full_report_json_parses_and_carries_every_verdict() {
+        let mut r = Report {
             files_scanned: 3,
             variants: ring_model::analyze_all(),
             proofs: crate::waitfor::prove_all(true),
@@ -444,12 +425,56 @@ mod tests {
             )),
             ..Report::default()
         };
+        // A finding whose text needs every kind of escape.
+        r.findings.push(Finding {
+            rule: "no-wallclock",
+            severity: Severity::Deny,
+            rel_path: "crates/sim/src/x.rs".to_string(),
+            line: 7,
+            message: "a \"quoted\" \\ path\n".to_string(),
+            snippet: "\tlet t = Instant::now();\u{1}".to_string(),
+            allowed: Some("audited".to_string()),
+        });
         assert!(r.gate_ok());
-        let j = r.to_json();
-        assert_eq!(j.matches('{').count(), j.matches('}').count(), "{j}");
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
-        assert!(j.contains("\"acyclic\": true"));
-        assert!(j.contains("rank_argument"));
+        let text = r.to_json();
+        let j = Json::parse(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+        assert_eq!(j.get("files_scanned").and_then(Json::as_u64), Some(3));
+        let Some(Json::Arr(findings)) = j.get("findings") else {
+            panic!("findings");
+        };
+        let f = &findings[0];
+        assert_eq!(
+            f.get("message").and_then(Json::as_str),
+            Some(r.findings[0].message.as_str())
+        );
+        assert_eq!(
+            f.get("snippet").and_then(Json::as_str),
+            Some(r.findings[0].snippet.as_str())
+        );
+        assert_eq!(f.get("line").and_then(Json::as_u64), Some(7));
+        assert_eq!(f.get("allowed").and_then(Json::as_str), Some("audited"));
+        assert_eq!(count(&j, "variants"), r.variants.len());
+        assert_eq!(count(&j, "bounds"), r.bounds.len());
+        let Some(Json::Arr(proofs)) = j.get("deadlock") else {
+            panic!("deadlock");
+        };
+        assert_eq!(proofs.len(), r.proofs.len());
+        for (p, want) in proofs.iter().zip(&r.proofs) {
+            assert_eq!(p.get("acyclic").and_then(Json::as_bool), Some(true));
+            assert_eq!(p.get("cycle"), Some(&Json::Null));
+            assert_eq!(count(p, "topological_order"), want.topo_order.len());
+            assert_eq!(count(p, "discharged"), want.discharged.len());
+        }
+        let supplier = j.get("tables").and_then(|t| t.get("supplier"));
+        assert_eq!(
+            supplier
+                .and_then(|s| s.get("clean"))
+                .and_then(Json::as_bool),
+            Some(true)
+        );
+        let gate = j.get("gate").expect("gate");
+        assert_eq!(gate.get("ok").and_then(Json::as_bool), Some(true));
+        assert_eq!(gate.get("allowed_findings").and_then(Json::as_u64), Some(1));
         let human = r.summary();
         assert!(human.contains("deadlock-free"));
         assert!(human.contains("PASS"));

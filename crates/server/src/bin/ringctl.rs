@@ -18,9 +18,9 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use ring_server::json::Json;
 use ring_server::{session_base, Client, Command, ErrorKind, RetryPolicy, WireError};
 use ring_system::{RunSpec, SpecFlags};
+use ring_trace::json::Json;
 
 const USAGE: &str = "\
 ringctl — client for the ringd simulation daemon

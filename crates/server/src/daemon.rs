@@ -11,6 +11,9 @@
 //!
 //! - **No client input panics the daemon**: every line is parsed into a
 //!   typed frame or answered with a typed `bad-frame`/`bad-version`.
+//! - **No client input grows the daemon without bound**: a request line
+//!   longer than [`MAX_FRAME_BYTES`] gets a typed `bad-frame` naming the
+//!   limit, and the connection closes.
 //! - **Idle and dead clients are reaped by deadline**: reads carry an
 //!   idle timeout, subscription writes carry a write timeout, and a
 //!   failed write drops the subscription (its buffer detaches on drop).
@@ -25,7 +28,7 @@
 //! notices. On shutdown the supervision thread wakes the accept by
 //! connecting to the socket itself.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -33,12 +36,16 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
+use ring_trace::json::Json;
 use ring_trace::Delivery;
 
 use crate::proto::{err_frame, ok_frame, Command, ErrorKind, Request, WireError};
 use crate::supervisor::{ServerConfig, Supervisor};
 use crate::worker::{self, Exited};
 
+/// The longest request line the daemon reads (its newline excluded).
+/// A create frame is under 1 KiB.
+pub const MAX_FRAME_BYTES: usize = 64 * 1024;
 /// Idle clients are disconnected after this long without a frame.
 pub const IDLE_TIMEOUT: Duration = Duration::from_secs(120);
 /// A subscriber that cannot absorb a write for this long is dropped.
@@ -189,12 +196,22 @@ fn handle_client(stream: UnixStream, sup: &Mutex<Supervisor>) {
         }
         raw.clear();
         // read_until, not read_line: even non-UTF-8 byte soup must get
-        // a typed `bad-frame` reply, not a dropped connection.
-        match reader.read_until(b'\n', &mut raw) {
+        // a typed `bad-frame` reply, not a dropped connection. One byte
+        // past the bound is enough to tell an over-long line.
+        let bound = MAX_FRAME_BYTES as u64 + 1;
+        match reader.by_ref().take(bound).read_until(b'\n', &mut raw) {
             Ok(0) => return, // EOF: client left
             Ok(_) => {}
             // Timeout: reap the idle client. Anything else: reap too.
             Err(_) => return,
+        }
+        if raw.len() > MAX_FRAME_BYTES && raw.last() != Some(&b'\n') {
+            let err = WireError::new(
+                ErrorKind::BadFrame,
+                format!("request line exceeds {MAX_FRAME_BYTES} bytes"),
+            );
+            let _ = write_line(&mut writer, &err_frame("", &err));
+            return;
         }
         let line = String::from_utf8_lossy(&raw);
         if line.trim().is_empty() {
@@ -208,10 +225,8 @@ fn handle_client(stream: UnixStream, sup: &Mutex<Supervisor>) {
                     let grant = lock_sup(sup).subscribe(&session, buffer);
                     match grant {
                         Ok((sub, shared)) => {
-                            let head = ok_frame(
-                                &req.id,
-                                vec![("subscribed", crate::json::Json::Str(session.clone()))],
-                            );
+                            let head =
+                                ok_frame(&req.id, vec![("subscribed", Json::Str(session.clone()))]);
                             if write_line(&mut writer, &head).is_err() {
                                 return;
                             }
@@ -222,8 +237,7 @@ fn handle_client(stream: UnixStream, sup: &Mutex<Supervisor>) {
                     }
                 }
                 Command::Shutdown => {
-                    let frame =
-                        ok_frame(&req.id, vec![("draining", crate::json::Json::Bool(true))]);
+                    let frame = ok_frame(&req.id, vec![("draining", Json::Bool(true))]);
                     let _ = write_line(&mut writer, &frame);
                     request_shutdown();
                     return;
@@ -244,10 +258,7 @@ fn handle_client(stream: UnixStream, sup: &Mutex<Supervisor>) {
 }
 
 /// Routes one non-streaming command to the supervisor.
-fn dispatch(
-    sup: &Mutex<Supervisor>,
-    cmd: Command,
-) -> Result<Vec<(&'static str, crate::json::Json)>, WireError> {
+fn dispatch(sup: &Mutex<Supervisor>, cmd: Command) -> Result<Vec<(&'static str, Json)>, WireError> {
     let mut sup = lock_sup(sup);
     match cmd {
         Command::Create {

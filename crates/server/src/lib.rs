@@ -36,7 +36,6 @@
 
 pub mod client;
 pub mod daemon;
-pub mod json;
 pub mod proto;
 pub mod session;
 pub mod supervisor;

@@ -21,7 +21,7 @@ use std::fmt;
 use ring_coherence::ProtocolVariant;
 use ring_system::{field, FieldKind, FieldValue, Protocol, RunSpec, SpecError, FIELDS};
 
-use crate::json::{obj, Json};
+use ring_trace::json::{obj, Json};
 
 /// The one protocol version this build speaks.
 pub const PROTO_VERSION: u64 = 1;

@@ -36,10 +36,10 @@ use ring_system::{
 use ring_trace::{FanoutSink, Subscription};
 use ring_workloads::AppProfile;
 
-use crate::json::{obj, Json};
 use crate::proto::{session_spec, spec_fields, ErrorKind, WireError};
 use crate::session::{check, SessionCmd, SessionState};
 use crate::worker::{self, lock, Ctl, Exited, Shared, Worker};
+use ring_trace::json::{obj, Json};
 
 /// File name of the per-session manifest.
 pub const MANIFEST_FILE: &str = "session.ringmeta";

@@ -12,6 +12,8 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command as Proc, Stdio};
 use std::time::Duration;
 
+use ring_trace::json::Json;
+
 fn bin(var: &str) -> &'static str {
     match var {
         "ringd" => env!("CARGO_BIN_EXE_ringd"),
@@ -86,11 +88,17 @@ impl Drill {
         String::from_utf8_lossy(&out.stdout).into_owned()
     }
 
+    /// The session's `status` reply body, as `ringctl` prints it.
+    fn status(&self, session: &str) -> Json {
+        let out = self.ctl(&["status", session]);
+        Json::parse(out.trim()).unwrap_or_else(|e| panic!("status is not JSON ({e}): {out}"))
+    }
+
     /// Polls `status` until the session's reported cycle reaches `at`.
     fn wait_cycle(&self, session: &str, at: u64) {
         for _ in 0..600 {
-            let out = self.ctl(&["status", session]);
-            if extract_u64(&out, "cycle").is_some_and(|c| c >= at) {
+            let cycle = self.status(session).get("cycle").and_then(Json::as_u64);
+            if cycle.is_some_and(|c| c >= at) {
                 return;
             }
             std::thread::sleep(Duration::from_millis(10));
@@ -103,24 +111,6 @@ impl Drop for Drill {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.base);
     }
-}
-
-/// Pulls `"key":N` out of a rendered status line (the reply body is
-/// key-sorted JSON, integers rendered plain).
-fn extract_u64(json: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let rest = &json[json.find(&pat)? + pat.len()..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn extract_str<'j>(json: &'j str, key: &str) -> Option<&'j str> {
-    let pat = format!("\"{key}\":\"");
-    let start = json.find(&pat)? + pat.len();
-    let rest = &json[start..];
-    Some(&rest[..rest.find('"')?])
 }
 
 /// The uninterrupted baseline: the same spec run in-process. The worker
@@ -185,11 +175,11 @@ fn sigkill_with_two_sessions_resumes_byte_identically_past_corruption() {
 
     // Restart: the daemon rediscovers both sessions from manifests.
     let mut daemon = drill.spawn_daemon();
-    let status = drill.ctl(&["status", "s1"]);
-    assert_eq!(extract_str(&status, "state"), Some("paused"));
-    let status = drill.ctl(&["status", "s2"]);
-    assert_eq!(extract_str(&status, "state"), Some("paused"));
-    let note = extract_str(&status, "note").unwrap_or("");
+    let status = drill.status("s1");
+    assert_eq!(status.get("state").and_then(Json::as_str), Some("paused"));
+    let status = drill.status("s2");
+    assert_eq!(status.get("state").and_then(Json::as_str), Some("paused"));
+    let note = status.get("note").and_then(Json::as_str).unwrap_or("");
     assert!(
         note.contains("restored from"),
         "s2 should report its restore provenance, got {note:?}"
@@ -252,9 +242,12 @@ fn sigterm_drains_and_a_restart_resumes_exactly() {
     // The drain checkpoint preserves the *exact* stepped-to cycle, so
     // the restarted session resumes from it (not an older periodic one).
     let mut daemon = drill.spawn_daemon();
-    let status = drill.ctl(&["status", "s1"]);
-    assert_eq!(extract_str(&status, "state"), Some("paused"));
-    let resumed_cycle = extract_u64(&status, "cycle").expect("cycle in status");
+    let status = drill.status("s1");
+    assert_eq!(status.get("state").and_then(Json::as_str), Some("paused"));
+    let resumed_cycle = status
+        .get("cycle")
+        .and_then(Json::as_u64)
+        .expect("cycle in status");
     assert!(
         resumed_cycle >= 700,
         "drain should checkpoint at the stepped-to cycle, got {resumed_cycle}"

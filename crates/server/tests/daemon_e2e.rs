@@ -17,6 +17,8 @@
 //!   writes the report of an in-process run of the same `RunSpec`, and
 //!   a spec it cannot host (HT, an invalid machine) is a typed
 //!   `bad-spec`;
+//! - a request line past `MAX_FRAME_BYTES` gets a typed `bad-frame`
+//!   and a closed connection, while other clients are served;
 //! - a `shutdown` frame drains gracefully.
 //!
 //! The daemon's shutdown flag is process-global, so every test
@@ -28,9 +30,9 @@ use std::path::PathBuf;
 use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Duration;
 
-use ring_server::json::Json;
 use ring_server::{daemon, session_base, Client, Command, ErrorKind, ServerConfig};
 use ring_system::{Machine, Protocol, RunSpec};
+use ring_trace::json::Json;
 use ring_trace::SharedBufferSink;
 
 static TEST_LOCK: OnceLock<Mutex<()>> = OnceLock::new();
@@ -358,6 +360,45 @@ fn raw_socket_garbage_is_typed_and_nonfatal() {
     let mut c = h.client();
     c.request(Command::Status { session: None })
         .expect("status after garbage");
+}
+
+#[test]
+fn an_overlong_request_line_is_refused_and_closed() {
+    use std::io::Write;
+    let _guard = serialized();
+    let h = Harness::launch("overlong", |_| {});
+    let mut s = UnixStream::connect(&h.socket).expect("connect");
+    // Open a line without ending it: that connection is mid-frame while
+    // another client is served.
+    s.write_all(&[b'x'; 1024]).expect("start a line");
+    let reply = h
+        .client()
+        .request(Command::Status { session: None })
+        .expect("status beside an unterminated line");
+    assert!(reply.body.get("sessions").is_some());
+    // 2 MiB more and still no newline. The daemon stops reading past the
+    // bound and hangs up, so this write fails partway; the reply is what
+    // counts.
+    let mut w = s.try_clone().expect("clone");
+    let writer = std::thread::spawn(move || w.write_all(&vec![b'x'; 2 << 20]).is_ok());
+    let mut reader = BufReader::new(s);
+    let mut line = String::new();
+    reader
+        .read_line(&mut line)
+        .expect("reply to the over-long line");
+    assert!(line.contains("bad-frame"), "got {line:?}");
+    assert!(
+        line.contains(&daemon::MAX_FRAME_BYTES.to_string()),
+        "the reply names the limit: {line:?}"
+    );
+    // Then the daemon hangs up: end of stream (or a reset, since it left
+    // the rest of the line unread).
+    line.clear();
+    assert_eq!(reader.read_line(&mut line).unwrap_or(0), 0, "got {line:?}");
+    assert!(
+        !writer.join().expect("writer thread"),
+        "the daemon must not take all 2 MiB"
+    );
 }
 
 #[test]

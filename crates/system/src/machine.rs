@@ -1243,16 +1243,12 @@ impl Machine {
         if r.get_len()? != nodes {
             return Err(r.malformed(format!("agent count does not match {nodes} nodes")));
         }
-        let mut agents = Vec::with_capacity(nodes);
-        for n in 0..nodes {
-            let mut a = RingAgent::snap_load(&mut r, NodeId(n), m.cfg.protocol, m.cfg.l2)?;
-            if m.trace_enabled {
-                a.set_tracing(true);
-            }
-            agents.push(a);
+        // Decode into the skeleton's agents: each was built for its node
+        // under this configuration, tracing switch included.
+        for a in &mut m.agents {
+            a.snap_load(&mut r)?;
         }
         r.finish()?;
-        m.agents = agents;
 
         let mut r = file.section("memory")?;
         m.mem = MemoryController::snap_load(&mut r, m.cfg.mem)?;

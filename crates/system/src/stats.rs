@@ -268,6 +268,16 @@ impl Report {
         Ok(())
     }
 
+    /// FNV-1a digest of the full [`Report::write_stats`] listing: two runs
+    /// with the same digest produced identical reports, field for field.
+    /// The golden-digest suite and `chaoscheck` compare runs by it.
+    pub fn digest(&self) -> u64 {
+        let mut buf = Vec::new();
+        self.write_stats(&mut buf)
+            .expect("writing into a Vec cannot fail");
+        ring_snapshot::fnv1a(&buf)
+    }
+
     /// Writes a Prometheus text-format snapshot of the run: headline
     /// counters plus the phase and per-class latency distributions as
     /// summary metrics with `quantile` labels.
@@ -412,6 +422,7 @@ fn write_prom_summary<W: std::io::Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ring_trace::json::Json;
 
     #[test]
     fn c2c_fraction_handles_empty() {
@@ -463,18 +474,20 @@ mod tests {
         };
         let mut buf = Vec::new();
         r.write_json(&mut buf).unwrap();
-        let s = String::from_utf8(buf).unwrap();
-        assert!(s.contains("\"exec_cycles\": 99"));
-        assert!(s.contains("\"delivery\": {\"count\": 5"));
-        assert!(s.contains("\"read_c2c\": {\"count\": 5"));
-        assert!(s.contains("\"p99\": 50"));
-        // Balanced braces => structurally sound JSON for our own parser
-        // and any external one.
-        let open = s.matches('{').count();
-        let close = s.matches('}').count();
-        assert_eq!(open, close);
-        assert!(!s.contains(",\n}"), "trailing comma before a closer:\n{s}");
-        assert!(!s.contains(",\n  }}"), "trailing comma:\n{s}");
+        let text = String::from_utf8(buf).unwrap();
+        let j = Json::parse(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+        let uint = |v: &Json, key: &str| v.get(key).and_then(Json::as_u64);
+        assert_eq!(j.get("finished").and_then(Json::as_bool), Some(true));
+        assert_eq!(uint(&j, "exec_cycles"), Some(99));
+        assert_eq!(uint(&j, "transactions"), Some(5));
+        let delivery = j.get("phases").and_then(|p| p.get("delivery")).unwrap();
+        assert_eq!(uint(delivery, "count"), Some(5));
+        assert_eq!(uint(delivery, "min"), Some(10));
+        assert_eq!(uint(delivery, "p99"), Some(50));
+        assert_eq!(delivery.get("mean"), Some(&Json::Num(30.0)));
+        let read_c2c = j.get("classes").and_then(|c| c.get("read_c2c")).unwrap();
+        assert_eq!(uint(read_c2c, "count"), Some(5));
+        assert_eq!(uint(read_c2c, "max"), Some(100));
     }
 
     #[test]

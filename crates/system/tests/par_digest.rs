@@ -7,47 +7,12 @@
 //! high-water mark — and checkpoints taken mid-run under the parallel
 //! engine restore and resume to the same bytes.
 
-use std::sync::{Arc, Mutex};
-
 use proptest::prelude::*;
 use ring_coherence::ProtocolVariant;
 use ring_noc::{FaultPlan, FaultProfile, ReliabilityConfig};
 use ring_system::{restore_latest, Machine, MachineConfig, Partition};
-use ring_trace::{TraceEvent, TraceSink};
+use ring_trace::DigestSink;
 use ring_workloads::AppProfile;
-
-/// FNV-1a over every trace event's canonical JSONL rendering; clones
-/// share state so one copy goes into the machine and the other reads
-/// the digest back out.
-#[derive(Debug, Clone, Default)]
-struct DigestSink {
-    state: Arc<Mutex<(u64, u64)>>,
-}
-
-impl DigestSink {
-    fn new() -> Self {
-        DigestSink {
-            state: Arc::new(Mutex::new((0xcbf2_9ce4_8422_2325, 0))),
-        }
-    }
-
-    fn digest(&self) -> (u64, u64) {
-        *self.state.lock().unwrap()
-    }
-}
-
-impl TraceSink for DigestSink {
-    fn record(&mut self, ev: &TraceEvent) {
-        let mut st = self.state.lock().unwrap();
-        for &b in ev.to_jsonl().as_bytes() {
-            st.0 ^= b as u64;
-            st.0 = st.0.wrapping_mul(0x100_0000_01b3);
-        }
-        st.0 ^= b'\n' as u64;
-        st.0 = st.0.wrapping_mul(0x100_0000_01b3);
-        st.1 += 1;
-    }
-}
 
 /// Fault scenarios the engines must agree under: a clean network, the
 /// chaos fault profile, and 20% frame drops with the reliability

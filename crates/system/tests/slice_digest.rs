@@ -8,42 +8,11 @@
 //! checkpoint trail. This is what lets the `ringd` daemon pause, step,
 //! and snapshot live sessions without perturbing them.
 
-use std::sync::{Arc, Mutex};
-
 use ring_coherence::ProtocolVariant;
 use ring_noc::{FaultPlan, FaultProfile};
 use ring_system::{HtMachine, Machine, MachineConfig, NodeAgent, RunProgress, Sim};
-use ring_trace::{SharedBufferSink, TraceEvent, TraceSink};
+use ring_trace::{DigestSink, SharedBufferSink};
 use ring_workloads::AppProfile;
-
-/// FNV-1a over every trace event's canonical JSONL rendering.
-#[derive(Debug, Clone, Default)]
-struct DigestSink {
-    state: Arc<Mutex<(u64, u64)>>,
-}
-
-impl DigestSink {
-    fn new() -> Self {
-        DigestSink {
-            state: Arc::new(Mutex::new((0xcbf2_9ce4_8422_2325, 0))),
-        }
-    }
-
-    fn digest(&self) -> (u64, u64) {
-        *self.state.lock().unwrap()
-    }
-}
-
-impl TraceSink for DigestSink {
-    fn record(&mut self, ev: &TraceEvent) {
-        let mut st = self.state.lock().unwrap();
-        for &b in ev.to_jsonl().as_bytes() {
-            st.0 ^= b as u64;
-            st.0 = st.0.wrapping_mul(0x100_0000_01b3);
-        }
-        st.1 += 1;
-    }
-}
 
 fn cfg(variant: ProtocolVariant, chaos: bool) -> MachineConfig {
     let mut cfg = MachineConfig::with_protocol(variant.config());

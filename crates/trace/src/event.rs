@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::json::Json;
+
 /// The class of operation a transaction performs, mirroring the
 /// protocol's `TxnKind` without depending on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -506,111 +508,51 @@ fn err(msg: impl Into<String>) -> ParseError {
     ParseError(msg.into())
 }
 
-/// A flat JSON value as used by the trace encoding.
-#[derive(Debug, Clone, PartialEq)]
-enum Val {
-    Num(u64),
-    Bool(bool),
-    Str(String),
+/// The value of `key` in a decoded trace line.
+fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, ParseError> {
+    v.get(key)
+        .ok_or_else(|| err(format!("missing field '{key}'")))
 }
 
-impl Val {
-    fn num(&self) -> Result<u64, ParseError> {
-        match self {
-            Val::Num(n) => Ok(*n),
-            v => Err(err(format!("expected number, got {v:?}"))),
-        }
-    }
-    fn boolean(&self) -> Result<bool, ParseError> {
-        match self {
-            Val::Bool(b) => Ok(*b),
-            v => Err(err(format!("expected bool, got {v:?}"))),
-        }
-    }
-    fn string(&self) -> Result<&str, ParseError> {
-        match self {
-            Val::Str(s) => Ok(s),
-            v => Err(err(format!("expected string, got {v:?}"))),
-        }
+fn expected(key: &str, what: &str, got: &Json) -> ParseError {
+    err(format!(
+        "field '{key}': expected {what}, got {}",
+        got.render()
+    ))
+}
+
+/// An unsigned integer field, exactly as the writer prints them.
+fn uint(v: &Json, key: &str) -> Result<u64, ParseError> {
+    match field(v, key)? {
+        Json::Uint(n) => Ok(*n),
+        other => Err(expected(key, "an unsigned integer", other)),
     }
 }
 
-/// Parses one flat JSON object (string/number/bool values only — the
-/// full shape of a trace line) into key/value pairs.
-fn parse_flat_object(s: &str) -> Result<Vec<(String, Val)>, ParseError> {
-    let s = s.trim();
-    let inner = s
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or_else(|| err("not an object"))?;
-    let mut out = Vec::new();
-    let mut rest = inner.trim();
-    while !rest.is_empty() {
-        // key
-        rest = rest
-            .strip_prefix('"')
-            .ok_or_else(|| err("expected key quote"))?;
-        let kend = rest.find('"').ok_or_else(|| err("unterminated key"))?;
-        let key = rest[..kend].to_string();
-        rest = rest[kend + 1..].trim_start();
-        rest = rest
-            .strip_prefix(':')
-            .ok_or_else(|| err("expected ':'"))?
-            .trim_start();
-        // value
-        let (val, after) = if let Some(r) = rest.strip_prefix('"') {
-            let vend = r.find('"').ok_or_else(|| err("unterminated string"))?;
-            (Val::Str(r[..vend].to_string()), &r[vend + 1..])
-        } else if let Some(r) = rest.strip_prefix("true") {
-            (Val::Bool(true), r)
-        } else if let Some(r) = rest.strip_prefix("false") {
-            (Val::Bool(false), r)
-        } else {
-            let vend = rest
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(rest.len());
-            if vend == 0 {
-                return Err(err(format!("bad value at '{rest}'")));
-            }
-            let n = rest[..vend]
-                .parse::<u64>()
-                .map_err(|e| err(format!("bad number: {e}")))?;
-            (Val::Num(n), &rest[vend..])
-        };
-        out.push((key, val));
-        rest = after.trim_start();
-        if let Some(r) = rest.strip_prefix(',') {
-            rest = r.trim_start();
-        } else if !rest.is_empty() {
-            return Err(err(format!("trailing garbage: '{rest}'")));
-        }
-    }
-    Ok(out)
+/// An unsigned integer field that must fit a narrower type.
+fn narrow<T: TryFrom<u64>>(v: &Json, key: &str) -> Result<T, ParseError> {
+    let n = uint(v, key)?;
+    T::try_from(n).map_err(|_| {
+        err(format!(
+            "field '{key}': {n} is out of range for {}",
+            std::any::type_name::<T>()
+        ))
+    })
 }
 
-struct Fields(Vec<(String, Val)>);
+fn flag(v: &Json, key: &str) -> Result<bool, ParseError> {
+    let f = field(v, key)?;
+    f.as_bool().ok_or_else(|| expected(key, "a boolean", f))
+}
 
-impl Fields {
-    fn get(&self, key: &str) -> Result<&Val, ParseError> {
-        self.0
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| err(format!("missing field '{key}'")))
-    }
-    fn num(&self, key: &str) -> Result<u64, ParseError> {
-        self.get(key)?.num()
-    }
-    fn boolean(&self, key: &str) -> Result<bool, ParseError> {
-        self.get(key)?.boolean()
-    }
-    fn string(&self, key: &str) -> Result<&str, ParseError> {
-        self.get(key)?.string()
-    }
-    fn op(&self, key: &str) -> Result<OpClass, ParseError> {
-        let s = self.string(key)?;
-        OpClass::from_code(s).ok_or_else(|| err(format!("bad op class '{s}'")))
-    }
+fn text<'a>(v: &'a Json, key: &str) -> Result<&'a str, ParseError> {
+    let f = field(v, key)?;
+    f.as_str().ok_or_else(|| expected(key, "a string", f))
+}
+
+fn op(v: &Json, key: &str) -> Result<OpClass, ParseError> {
+    let s = text(v, key)?;
+    OpClass::from_code(s).ok_or_else(|| err(format!("bad op class '{s}'")))
 }
 
 impl Payload {
@@ -636,14 +578,14 @@ impl Payload {
         }
     }
 
-    fn decode(f: &Fields) -> Result<Self, ParseError> {
-        match f.string("pl")? {
-            "R" => Ok(Payload::Request { op: f.op("op")? }),
+    fn decode(f: &Json) -> Result<Self, ParseError> {
+        match text(f, "pl")? {
+            "R" => Ok(Payload::Request { op: op(f, "op")? }),
             "r" => Ok(Payload::Response {
-                positive: f.boolean("pos")?,
-                squashed: f.boolean("sq")?,
-                loser_hint: f.boolean("lh")?,
-                outcomes: f.num("outc")? as u32,
+                positive: flag(f, "pos")?,
+                squashed: flag(f, "sq")?,
+                loser_hint: flag(f, "lh")?,
+                outcomes: narrow(f, "outc")?,
             }),
             other => Err(err(format!("bad payload tag '{other}'"))),
         }
@@ -804,110 +746,114 @@ impl TraceEvent {
     /// Returns a [`ParseError`] describing the first malformed or
     /// missing field.
     pub fn from_jsonl(line: &str) -> Result<Self, ParseError> {
-        let f = Fields(parse_flat_object(line)?);
-        let kind = match f.string("ev")? {
+        let v = Json::parse(line).map_err(|e| err(format!("not JSON: {e}")))?;
+        if !matches!(v, Json::Obj(_)) {
+            return Err(err("not an object"));
+        }
+        let f = &v;
+        let kind = match text(f, "ev")? {
             "issue" => EventKind::RequestIssue {
-                op: f.op("op")?,
-                retry: f.boolean("retry")?,
+                op: op(f, "op")?,
+                retry: flag(f, "retry")?,
             },
             "ring_send" => EventKind::RingSend {
-                to: f.num("to")? as u32,
-                payload: Payload::decode(&f)?,
+                to: narrow(f, "to")?,
+                payload: Payload::decode(f)?,
             },
             "ring_recv" => EventKind::RingRecv {
-                payload: Payload::decode(&f)?,
+                payload: Payload::decode(f)?,
             },
-            "mcast" => EventKind::MulticastRequest { op: f.op("op")? },
+            "mcast" => EventKind::MulticastRequest { op: op(f, "op")? },
             "snoop" => EventKind::SnoopPerform {
-                positive: f.boolean("pos")?,
+                positive: flag(f, "pos")?,
             },
             "snoop_skip" => EventKind::SnoopSkip,
             "ltt_insert" => EventKind::LttInsert {
-                occupancy: f.num("occ")? as u32,
+                occupancy: narrow(f, "occ")?,
             },
             "ltt_remove" => EventKind::LttRemove {
-                occupancy: f.num("occ")? as u32,
+                occupancy: narrow(f, "occ")?,
             },
             "ltt_stall" => EventKind::LttStall,
             "collision" => EventKind::Collision {
-                other_node: f.num("on")? as u32,
-                other_serial: f.num("os")?,
+                other_node: narrow(f, "on")?,
+                other_serial: uint(f, "os")?,
             },
             "winner" => EventKind::WinnerSelected {
-                winner_node: f.num("wn")? as u32,
-                winner_serial: f.num("ws")?,
+                winner_node: narrow(f, "wn")?,
+                winner_serial: uint(f, "ws")?,
             },
             "consume" => EventKind::ResponseConsume {
-                positive: f.boolean("pos")?,
-                squashed: f.boolean("sq")?,
-                loser_hint: f.boolean("lh")?,
-                outcomes: f.num("outc")? as u32,
+                positive: flag(f, "pos")?,
+                squashed: flag(f, "sq")?,
+                loser_hint: flag(f, "lh")?,
+                outcomes: narrow(f, "outc")?,
             },
             "supply" => EventKind::Suppliership {
-                to: f.num("to")? as u32,
-                with_data: f.boolean("data")?,
+                to: narrow(f, "to")?,
+                with_data: flag(f, "data")?,
             },
             "mem_fetch" => EventKind::MemFetch {
-                prefetch: f.boolean("pref")?,
+                prefetch: flag(f, "pref")?,
             },
             "pref_hit" => EventKind::PrefetchHit,
             "writeback" => EventKind::Writeback,
             "bound" => EventKind::Bound {
-                latency: f.num("lat")?,
-                c2c: f.boolean("c2c")?,
+                latency: uint(f, "lat")?,
+                c2c: flag(f, "c2c")?,
             },
             "complete" => EventKind::Complete {
-                op: f.op("op")?,
-                c2c: f.boolean("c2c")?,
-                latency: f.num("lat")?,
+                op: op(f, "op")?,
+                c2c: flag(f, "c2c")?,
+                latency: uint(f, "lat")?,
             },
             "retry" => EventKind::Retry {
-                delay: f.num("delay")?,
+                delay: uint(f, "delay")?,
             },
             "starve" => EventKind::Starvation {
-                snid: f.num("snid")? as u32,
+                snid: narrow(f, "snid")?,
             },
             "fault" => {
-                let code = f.string("fk")?;
+                let code = text(f, "fk")?;
                 EventKind::FaultInjected {
                     fault: FaultClass::from_code(code)
                         .ok_or_else(|| err(format!("bad fault class '{code}'")))?,
-                    delay: f.num("delay")?,
+                    delay: uint(f, "delay")?,
                 }
             }
             "proto_err" => {
-                let code = f.string("code")?;
+                let code = text(f, "code")?;
                 EventKind::ProtocolError {
                     error: ErrorClass::from_code(code)
                         .ok_or_else(|| err(format!("bad error class '{code}'")))?,
                 }
             }
             "retx" => EventKind::Retransmit {
-                to: f.num("to")? as u32,
-                channel: f.num("ch")? as u8,
-                seq: f.num("seq")?,
-                attempt: f.num("att")? as u32,
+                to: narrow(f, "to")?,
+                channel: narrow(f, "ch")?,
+                seq: uint(f, "seq")?,
+                attempt: narrow(f, "att")?,
             },
             "link_down" => EventKind::LinkDown {
-                link: f.num("link")? as u32,
-                up_at: f.num("up")?,
+                link: narrow(f, "link")?,
+                up_at: uint(f, "up")?,
             },
             "link_up" => EventKind::LinkUp {
-                link: f.num("link")? as u32,
+                link: narrow(f, "link")?,
             },
             "rdeliver" => EventKind::ReliableDeliver {
-                from: f.num("from")? as u32,
-                channel: f.num("ch")? as u8,
-                seq: f.num("seq")?,
+                from: narrow(f, "from")?,
+                channel: narrow(f, "ch")?,
+                seq: uint(f, "seq")?,
             },
             other => return Err(err(format!("unknown event tag '{other}'"))),
         };
         Ok(TraceEvent {
-            cycle: f.num("t")?,
-            node: f.num("n")? as u32,
-            txn_node: f.num("tn")? as u32,
-            txn_serial: f.num("ts")?,
-            line: f.num("line")?,
+            cycle: uint(f, "t")?,
+            node: narrow(f, "n")?,
+            txn_node: narrow(f, "tn")?,
+            txn_serial: uint(f, "ts")?,
+            line: uint(f, "line")?,
             kind,
         })
     }
@@ -1109,5 +1055,89 @@ mod tests {
         // unknown tag
         let bad = "{\"t\":1,\"n\":0,\"tn\":0,\"ts\":0,\"line\":0,\"ev\":\"nope\"}";
         assert!(TraceEvent::from_jsonl(bad).is_err());
+    }
+
+    #[test]
+    fn parse_rejects_what_the_flat_scanner_accepted() {
+        let head = r#"{"t":1,"n":0,"tn":0,"ts":0,"line":0,"ev":"snoop_skip""#;
+        // A trailing comma.
+        let err = TraceEvent::from_jsonl(&format!("{head},}}")).unwrap_err();
+        assert!(err.0.contains("trailing comma"), "{err}");
+        // A duplicate key: neither copy is silently kept.
+        let err = TraceEvent::from_jsonl(&format!(r#"{head},"t":2}}"#)).unwrap_err();
+        assert!(err.0.contains(r#"duplicate key "t""#), "{err}");
+        // A node id past u32 no longer wraps to node 1.
+        let line = format!("{head}}}").replace(r#""n":0"#, r#""n":4294967297"#);
+        let err = TraceEvent::from_jsonl(&line).unwrap_err();
+        assert!(
+            err.0.contains("field 'n'") && err.0.contains("out of range"),
+            "{err}"
+        );
+        // Integers only, named by field.
+        let line = format!("{head}}}").replace(r#""t":1"#, r#""t":1.5"#);
+        let err = TraceEvent::from_jsonl(&line).unwrap_err();
+        assert!(err.0.contains("field 't'"), "{err}");
+        let line = format!("{head}}}").replace(r#""line":0"#, r#""line":"0""#);
+        let err = TraceEvent::from_jsonl(&line).unwrap_err();
+        assert!(err.0.contains("field 'line'"), "{err}");
+        // The untouched line decodes.
+        assert!(TraceEvent::from_jsonl(&format!("{head}}}")).is_ok());
+    }
+
+    /// Decodes `e`'s JSONL line with `key`'s value replaced by `value`.
+    fn with_field(e: &TraceEvent, key: &str, value: u64) -> Result<TraceEvent, ParseError> {
+        let line = e.to_jsonl();
+        let needle = format!("\"{key}\":");
+        let at = line.find(&needle).expect("field present") + needle.len();
+        let end = at + line[at..].find([',', '}']).expect("value ends");
+        TraceEvent::from_jsonl(&format!("{}{value}{}", &line[..at], &line[end..]))
+    }
+
+    /// The widest value a narrow field holds decodes; one past it is a
+    /// [`ParseError`] naming the field.
+    fn assert_narrowing(kind: EventKind, key: &str, max: u64) {
+        let e = ev(kind);
+        assert!(
+            with_field(&e, key, max).is_ok(),
+            "{key} = {max} must decode"
+        );
+        let err = with_field(&e, key, max + 1).unwrap_err();
+        assert!(
+            err.0.contains(&format!("field '{key}'")) && err.0.contains("out of range"),
+            "{key}: {err}"
+        );
+    }
+
+    macro_rules! narrowing_tests {
+        ($($name:ident: $key:literal of $kind:expr, max $max:expr;)*) => {$(
+            #[test]
+            fn $name() {
+                assert_narrowing($kind, $key, u64::from($max));
+            }
+        )*};
+    }
+
+    const RETX: EventKind = EventKind::Retransmit {
+        to: 3,
+        channel: 1,
+        seq: 977,
+        attempt: 4,
+    };
+
+    narrowing_tests! {
+        narrow_node: "n" of EventKind::SnoopSkip, max u32::MAX;
+        narrow_txn_node: "tn" of EventKind::SnoopSkip, max u32::MAX;
+        narrow_to: "to" of EventKind::Suppliership { to: 11, with_data: true }, max u32::MAX;
+        narrow_occupancy: "occ" of EventKind::LttInsert { occupancy: 3 }, max u32::MAX;
+        narrow_other_node: "on" of EventKind::Collision { other_node: 9, other_serial: 100 }, max u32::MAX;
+        narrow_winner_node: "wn" of EventKind::WinnerSelected { winner_node: 5, winner_serial: 42 }, max u32::MAX;
+        narrow_outcomes: "outc" of EventKind::RingRecv {
+            payload: Payload::Response { positive: false, squashed: true, loser_hint: false, outcomes: 63 },
+        }, max u32::MAX;
+        narrow_snid: "snid" of EventKind::Starvation { snid: 7 }, max u32::MAX;
+        narrow_channel: "ch" of RETX, max u8::MAX;
+        narrow_attempt: "att" of RETX, max u32::MAX;
+        narrow_link: "link" of EventKind::LinkUp { link: 17 }, max u32::MAX;
+        narrow_from: "from" of EventKind::ReliableDeliver { from: 12, channel: 2, seq: 4096 }, max u32::MAX;
     }
 }

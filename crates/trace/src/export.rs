@@ -146,6 +146,7 @@ pub fn perfetto_json(events: &[TraceEvent], windows: &[WindowSnapshot]) -> Strin
 mod tests {
     use super::*;
     use crate::flight::{FlightConfig, FlightProbe, FlightRecorder};
+    use crate::json::Json;
 
     fn ev(cycle: u64, node: u32, serial: u64, kind: EventKind) -> TraceEvent {
         TraceEvent {
@@ -156,6 +157,33 @@ mod tests {
             line: 0x40,
             kind,
         }
+    }
+
+    /// The `traceEvents` array of a parsed Perfetto document.
+    fn trace_events(json: &str) -> Vec<Json> {
+        let doc = Json::parse(json).unwrap_or_else(|e| panic!("{e}\n{json}"));
+        assert_eq!(
+            doc.get("displayTimeUnit").and_then(Json::as_str),
+            Some("ns")
+        );
+        match doc.get("traceEvents") {
+            Some(Json::Arr(items)) => items.clone(),
+            other => panic!("traceEvents is not an array: {other:?}"),
+        }
+    }
+
+    /// The one event called `name`.
+    fn named<'a>(items: &'a [Json], name: &str) -> &'a Json {
+        let mut found = items
+            .iter()
+            .filter(|e| e.get("name").and_then(Json::as_str) == Some(name));
+        let e = found.next().unwrap_or_else(|| panic!("no `{name}` event"));
+        assert!(found.next().is_none(), "two `{name}` events");
+        e
+    }
+
+    fn uint(v: &Json, key: &str) -> Option<u64> {
+        v.get(key).and_then(Json::as_u64)
     }
 
     #[test]
@@ -181,11 +209,21 @@ mod tests {
                 },
             ),
         ];
-        let json = perfetto_json(&events, &[]);
-        assert!(json.contains("\"name\":\"read c2c\""));
-        assert!(json.contains("\"ts\":10,\"dur\":80"));
-        assert!(json.contains("\"tid\":1"));
-        assert!(json.contains("\"thread_name\""));
+        let items = trace_events(&perfetto_json(&events, &[]));
+        assert_eq!(items.len(), 2, "a thread name and a slice");
+        let meta = named(&items, "thread_name");
+        assert_eq!(meta.get("ph").and_then(Json::as_str), Some("M"));
+        let name = meta.get("args").and_then(|a| a.get("name"));
+        assert_eq!(name.and_then(Json::as_str), Some("node 1"));
+        let slice = named(&items, "read c2c");
+        assert_eq!(slice.get("ph").and_then(Json::as_str), Some("X"));
+        assert_eq!(
+            (uint(slice, "ts"), uint(slice, "dur"), uint(slice, "tid")),
+            (Some(10), Some(80), Some(1))
+        );
+        let args = slice.get("args").expect("args");
+        assert_eq!(args.get("line").and_then(Json::as_str), Some("0x40"));
+        assert_eq!(uint(args, "serial"), Some(7));
     }
 
     #[test]
@@ -199,20 +237,35 @@ mod tests {
             queue_heap: 1,
             link_messages: vec![5, 50],
             link_bytes: vec![40, 400],
+            rel_unacked: 2,
             ..Default::default()
         });
         let windows: Vec<WindowSnapshot> = r.snapshots().cloned().collect();
-        let json = perfetto_json(&[], &windows);
-        assert!(json.contains("\"name\":\"queue depth\""));
-        assert!(json.contains("\"buckets\":6,\"heap\":1"));
-        assert!(json.contains("\"max_link_msgs\":50,\"total_msgs\":55"));
+        let items = trace_events(&perfetto_json(&[], &windows));
+        assert_eq!(items.len(), 4, "one event per counter track");
+        let queue = named(&items, "queue depth");
+        assert_eq!(queue.get("ph").and_then(Json::as_str), Some("C"));
+        assert_eq!(uint(queue, "ts"), Some(10_000));
+        let args = queue.get("args").expect("args");
+        assert_eq!(
+            (uint(args, "buckets"), uint(args, "heap")),
+            (Some(6), Some(1))
+        );
+        let links = named(&items, "link utilization").get("args").expect("args");
+        assert_eq!(
+            (uint(links, "max_link_msgs"), uint(links, "total_msgs")),
+            (Some(50), Some(55))
+        );
+        let rel = named(&items, "reliable transport")
+            .get("args")
+            .expect("args");
+        assert_eq!(uint(rel, "unacked"), Some(2));
+        assert!(named(&items, "occupancy").get("args").is_some());
     }
 
     #[test]
     fn empty_inputs_still_produce_a_valid_shell() {
-        let json = perfetto_json(&[], &[]);
-        assert!(json.starts_with("{\"traceEvents\":["));
-        assert!(json.trim_end().ends_with("}"));
+        assert!(trace_events(&perfetto_json(&[], &[])).is_empty());
     }
 
     #[test]
@@ -229,8 +282,11 @@ mod tests {
             ),
             ev(50, 2, 3, EventKind::Retry { delay: 20 }),
         ];
-        let json = perfetto_json(&events, &[]);
-        assert!(json.contains("\"name\":\"write retry\""));
-        assert!(json.contains("\"dur\":40"));
+        let items = trace_events(&perfetto_json(&events, &[]));
+        let slice = named(&items, "write retry");
+        assert_eq!(
+            (uint(slice, "ts"), uint(slice, "dur")),
+            (Some(10), Some(40))
+        );
     }
 }

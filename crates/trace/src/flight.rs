@@ -449,6 +449,31 @@ mod tests {
         let line = String::from_utf8(via_ring).unwrap();
         assert!(line.starts_with("{\"w\":10000,\"cyc\":10000,\"ev\":500,"));
         assert!(line.contains("\"na\":[100,40]"));
+        // Every field parses back to the snapshot's value.
+        let snap = r.snapshots().next().unwrap();
+        let j = crate::json::Json::parse(line.trim_end()).unwrap();
+        let uint = |key: &str| j.get(key).and_then(crate::json::Json::as_u64);
+        let list = |key: &str| -> Vec<u64> {
+            match j.get(key) {
+                Some(crate::json::Json::Arr(items)) => {
+                    items.iter().map(|v| v.as_u64().unwrap()).collect()
+                }
+                other => panic!("`{key}` is not an array: {other:?}"),
+            }
+        };
+        assert_eq!(uint("w"), Some(snap.window_end));
+        assert_eq!(uint("cyc"), Some(snap.cycles));
+        assert_eq!(uint("ev"), Some(snap.events));
+        assert_eq!(uint("q"), Some(snap.queue_depth as u64));
+        assert_eq!((uint("qb"), uint("qh")), (Some(4), Some(1)));
+        assert_eq!((uint("ltt"), uint("mshr")), (Some(2), Some(4)));
+        assert_eq!(
+            (uint("ru"), uint("rq"), uint("rt"), uint("rx")),
+            (Some(0), Some(0), Some(0), Some(0))
+        );
+        assert_eq!(list("na"), snap.node_activity);
+        assert_eq!(list("lm"), snap.link_messages);
+        assert_eq!(list("lb"), snap.link_bytes);
         // A second recorder fed the same probes spills the same bytes.
         let mut r2 = FlightRecorder::new(FlightConfig::default());
         r2.record(probe(10_000, 500, vec![100, 40]));

@@ -8,9 +8,12 @@
 //!   starvation), carrying the cycle, node, transaction identity, and
 //!   line it concerns.
 //! - [`TraceSink`] — where events go: [`NullSink`] (a no-op, the
-//!   default), [`RingBufferSink`] (last-N in memory, for post-mortem
-//!   debugging), and [`JsonlSink`] (one JSON object per line, for the
-//!   offline `tracecheck` pipeline).
+//!   default), [`SharedBufferSink`] (every event in memory),
+//!   [`DigestSink`] (an FNV-1a fingerprint of the JSONL stream), and
+//!   [`JsonlSink`] (one JSON object per line, for the offline
+//!   `tracecheck` pipeline).
+//! - [`json`] — the workspace's one JSON parser, which reads trace lines
+//!   back ([`TraceEvent::from_jsonl`]) as well as `ringd`'s wire frames.
 //! - [`MetricsRegistry`] — per-node and per-link counters/histograms
 //!   that accumulate during a run and roll up into the machine-level
 //!   report, including the per-transaction latency anatomy
@@ -46,6 +49,7 @@ mod event;
 mod export;
 mod fanout;
 mod flight;
+pub mod json;
 mod metrics;
 mod sink;
 
@@ -57,4 +61,4 @@ pub use flight::{FlightConfig, FlightProbe, FlightRecorder, WindowSnapshot};
 pub use metrics::{
     ClassLatency, LatencyAnatomy, LinkMetrics, MetricsRegistry, NodeMetrics, TXN_CLASSES,
 };
-pub use sink::{JsonlSink, NullSink, RingBufferSink, SharedBufferSink, TraceSink};
+pub use sink::{DigestSink, JsonlSink, NullSink, SharedBufferSink, TraceSink};

@@ -1,6 +1,5 @@
 //! Pluggable destinations for trace events.
 
-use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
@@ -31,54 +30,6 @@ pub struct NullSink;
 
 impl TraceSink for NullSink {
     fn record(&mut self, _ev: &TraceEvent) {}
-}
-
-/// Keeps the most recent `capacity` events in memory, for post-mortem
-/// inspection after a failure.
-///
-/// The sink is cheaply cloneable; clones share the same buffer, so one
-/// clone can be installed into the machine while another is kept to
-/// read the events back afterwards.
-#[derive(Debug, Clone)]
-pub struct RingBufferSink {
-    capacity: usize,
-    buf: Arc<Mutex<VecDeque<TraceEvent>>>,
-}
-
-impl RingBufferSink {
-    /// A ring buffer holding at most `capacity` events (the oldest are
-    /// dropped first).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "ring buffer capacity must be positive");
-        RingBufferSink {
-            capacity,
-            buf: Arc::new(Mutex::new(VecDeque::with_capacity(capacity))),
-        }
-    }
-
-    /// The retained events, oldest first.
-    pub fn snapshot(&self) -> Vec<TraceEvent> {
-        self.buf.lock().unwrap().iter().copied().collect()
-    }
-
-    /// Maximum number of retained events.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-}
-
-impl TraceSink for RingBufferSink {
-    fn record(&mut self, ev: &TraceEvent) {
-        let mut buf = self.buf.lock().unwrap();
-        if buf.len() == self.capacity {
-            buf.pop_front();
-        }
-        buf.push_back(*ev);
-    }
 }
 
 /// Collects every event in memory, unbounded. Clones share the buffer
@@ -114,6 +65,49 @@ impl SharedBufferSink {
 impl TraceSink for SharedBufferSink {
     fn record(&mut self, ev: &TraceEvent) {
         self.buf.lock().unwrap().push(*ev);
+    }
+}
+
+/// Folds every event's JSONL line, newline included, into a 64-bit
+/// FNV-1a digest: the digest equals [`ring_snapshot::fnv1a`] of the file
+/// [`JsonlSink`] would write, so it fingerprints the complete trace
+/// stream without keeping it. Clones share state: install one clone into
+/// the machine and read the digest from the other.
+#[derive(Debug, Clone)]
+pub struct DigestSink {
+    state: Arc<Mutex<(u64, u64)>>,
+}
+
+impl Default for DigestSink {
+    fn default() -> Self {
+        DigestSink {
+            state: Arc::new(Mutex::new((ring_snapshot::fnv1a(b""), 0))),
+        }
+    }
+}
+
+impl DigestSink {
+    /// A fresh digest (FNV offset basis, zero events).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// `(digest, events recorded)` so far.
+    pub fn digest(&self) -> (u64, u64) {
+        *self.state.lock().expect(POISONED)
+    }
+}
+
+const POISONED: &str = "digest sink poisoned: a thread panicked while recording";
+
+impl TraceSink for DigestSink {
+    fn record(&mut self, ev: &TraceEvent) {
+        let mut st = self.state.lock().expect(POISONED);
+        for &b in ev.to_jsonl().as_bytes().iter().chain(b"\n") {
+            st.0 ^= u64::from(b);
+            st.0 = st.0.wrapping_mul(0x100_0000_01b3);
+        }
+        st.1 += 1;
     }
 }
 
@@ -181,13 +175,17 @@ mod tests {
     }
 
     #[test]
-    fn ring_buffer_drops_oldest() {
-        let mut s = RingBufferSink::new(3);
-        for c in 0..5 {
-            s.record(&ev(c));
+    fn digest_is_fnv1a_of_the_jsonl_file() {
+        let reader = DigestSink::new();
+        let mut digest = reader.clone();
+        let mut file = JsonlSink::new(Vec::new());
+        assert_eq!(reader.digest(), (ring_snapshot::fnv1a(b""), 0));
+        for c in 0..3 {
+            digest.record(&ev(c));
+            file.record(&ev(c));
         }
-        let kept: Vec<u64> = s.snapshot().iter().map(|e| e.cycle).collect();
-        assert_eq!(kept, vec![2, 3, 4]);
+        let bytes = file.into_inner();
+        assert_eq!(reader.digest(), (ring_snapshot::fnv1a(&bytes), 3));
     }
 
     #[test]

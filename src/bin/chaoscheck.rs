@@ -201,15 +201,6 @@ fn run_combo(
     Ok(out)
 }
 
-/// FNV-1a digest of a machine report's serialized statistics listing.
-fn report_digest(report: &uncorq::system::Report) -> u64 {
-    let mut bytes = Vec::new();
-    if report.write_stats(&mut bytes).is_err() {
-        unreachable!("writes into a Vec are infallible");
-    }
-    fnv1a(&bytes)
-}
-
 /// The crash-recovery drill for one (protocol, fault profile) combo:
 /// reference run, checkpointed run killed at a deterministic random
 /// cycle, corruption of the newest checkpoint, typed rejection +
@@ -233,7 +224,7 @@ fn crash_recovery_check(
     if !report.finished {
         return Err("reference run hit the cycle cap".into());
     }
-    let want_digest = report_digest(&report);
+    let want_digest = report.digest();
     let reference_events = sink.snapshot();
 
     // Kill at a deterministic random cycle in the middle half of the
@@ -308,7 +299,7 @@ fn crash_recovery_check(
     if !report.finished {
         return Err("resumed run hit the cycle cap".into());
     }
-    if report_digest(&report) != want_digest {
+    if report.digest() != want_digest {
         return Err("resumed report digest diverged from the uninterrupted run".into());
     }
     let resumed = sink.snapshot();
