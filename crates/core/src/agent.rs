@@ -857,16 +857,20 @@ impl RingAgent {
         }
     }
 
+    /// Issues every parked core request that may issue now, in order;
+    /// the rest stay parked in their order. Rotates the queue in place
+    /// (`issue` never parks a request), so draining allocates nothing.
     fn drain_pending_core(&mut self, now: Cycle, fx: &mut Vec<Effect>) {
-        let mut remaining = VecDeque::new();
-        while let Some((line, kind)) = self.pending_core.pop_front() {
+        for _ in 0..self.pending_core.len() {
+            let Some((line, kind)) = self.pending_core.pop_front() else {
+                break;
+            };
             if self.can_issue(line) {
                 self.issue(now, line, kind, fx);
             } else {
-                remaining.push_back((line, kind));
+                self.pending_core.push_back((line, kind));
             }
         }
-        self.pending_core = remaining;
     }
 
     // ------------------------------------------------------------------

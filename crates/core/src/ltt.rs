@@ -84,12 +84,15 @@ pub struct LttEntry {
 }
 
 impl LttEntry {
-    fn new(line: LineAddr) -> Self {
+    /// A fresh entry for `line` whose slots go into `slots` (empty, and
+    /// possibly with capacity left by a deallocated entry).
+    fn new(line: LineAddr, slots: Vec<TxnSlot>) -> Self {
+        debug_assert!(slots.is_empty());
         LttEntry {
             line,
             wid: None,
             reservation: None,
-            slots: Vec::new(),
+            slots,
         }
     }
 
@@ -211,7 +214,7 @@ impl LttEntry {
 /// let e = ltt.entry_mut(LineAddr::new(9));
 /// assert!(!e.busy());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Ltt {
     cfg: LttConfig,
     sets: Vec<Vec<LttEntry>>,
@@ -223,6 +226,27 @@ pub struct Ltt {
     entries: usize,
     peak_entries: usize,
     overflows: u64,
+    /// Emptied slot vectors of deallocated entries, handed to the next
+    /// entries allocated so that a transaction costs no heap allocation
+    /// at any node. Storage, not state: never saved or digested, and not
+    /// copied by `Clone` (the model checker clones agents per explored
+    /// state).
+    spare: Vec<Vec<TxnSlot>>,
+}
+
+impl Clone for Ltt {
+    fn clone(&self) -> Self {
+        Ltt {
+            cfg: self.cfg,
+            sets: self.sets.clone(),
+            response_seq: self.response_seq,
+            stalled_responses: self.stalled_responses,
+            entries: self.entries,
+            peak_entries: self.peak_entries,
+            overflows: self.overflows,
+            spare: Vec::new(),
+        }
+    }
 }
 
 impl Ltt {
@@ -246,6 +270,7 @@ impl Ltt {
             entries: 0,
             peak_entries: 0,
             overflows: 0,
+            spare: Vec::new(),
         }
     }
 
@@ -277,7 +302,8 @@ impl Ltt {
                 if self.sets[idx].len() >= ways {
                     self.overflows += 1;
                 }
-                self.sets[idx].push(LttEntry::new(line));
+                let slots = self.spare.pop().unwrap_or_default();
+                self.sets[idx].push(LttEntry::new(line, slots));
                 self.entries += 1;
                 self.peak_entries = self.peak_entries.max(self.entries);
                 self.sets[idx].len() - 1
@@ -360,8 +386,7 @@ impl Ltt {
                 if force || now >= t {
                     entry.reservation = None;
                     if entry.idle() {
-                        self.sets[idx].remove(i);
-                        self.entries -= 1;
+                        self.free(idx, i);
                     }
                     return true;
                 }
@@ -374,14 +399,21 @@ impl Ltt {
     /// the entry if it becomes idle.
     pub fn take(&mut self, line: LineAddr, txn: TxnId) -> Option<TxnSlot> {
         let idx = self.set_index(line);
-        let set = &mut self.sets[idx];
-        let i = set.iter().position(|e| e.line == line)?;
-        let slot = set[i].take(txn);
-        if set[i].idle() {
-            set.remove(i);
-            self.entries -= 1;
+        let i = self.sets[idx].iter().position(|e| e.line == line)?;
+        let entry = &mut self.sets[idx][i];
+        let slot = entry.take(txn);
+        if entry.idle() {
+            self.free(idx, i);
         }
         slot
+    }
+
+    /// Deallocates entry `i` of set `idx` (idle, so its slot vector is
+    /// empty) and keeps the vector for the next entry.
+    fn free(&mut self, idx: usize, i: usize) {
+        let entry = self.sets[idx].remove(i);
+        self.spare.push(entry.slots);
+        self.entries -= 1;
     }
 
     /// Whether any transaction for `line` is in flight at this node —
@@ -707,6 +739,21 @@ mod tests {
     fn take_unknown_returns_none() {
         let mut ltt = Ltt::new(LttConfig::default());
         assert!(ltt.take(LineAddr::new(1), txn(1, 0)).is_none());
+    }
+
+    #[test]
+    fn freed_slot_storage_is_reused_but_never_cloned() {
+        let mut ltt = Ltt::new(LttConfig::default());
+        ltt.see_request(req(1, 0, 1, TxnKind::Read));
+        ltt.snoop_complete(txn(1, 0), LineAddr::new(1), false);
+        ltt.see_response(resp(1, 0, 1, false));
+        ltt.take(LineAddr::new(1), txn(1, 0));
+        assert_eq!(ltt.spare.len(), 1);
+        assert!(ltt.clone().spare.is_empty());
+        // The next entry, on another line, takes the freed storage.
+        ltt.see_request(req(2, 0, 2, TxnKind::Read));
+        assert!(ltt.spare.is_empty());
+        assert_eq!(ltt.entry(LineAddr::new(2)).unwrap().in_flight(), 1);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! The Node Prefetch Predictor (paper §5.4).
 
 use ring_cache::LineAddr;
-use ring_sim::FxHashMap;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -38,10 +37,8 @@ pub struct NodePrefetchPredictor {
     /// Stamp of `queue[0]` (of the next observation while the queue is
     /// empty).
     front: u64,
-    /// addr -> stamp of its live queue entry. Keyed by small integers
-    /// whose iteration order is never observed, so the fast
-    /// deterministic hasher applies.
-    present: FxHashMap<LineAddr, u64>,
+    /// addr -> stamp of its live queue entry.
+    present: StampTable,
     observations: u64,
     prefetch_hits: u64,
     prefetch_suppressions: u64,
@@ -77,8 +74,8 @@ impl NodePrefetchPredictor {
             let Some(old) = self.queue.pop_front() else {
                 break;
             };
-            if self.present.get(&old) == Some(&self.front) {
-                self.present.remove(&old);
+            if self.present.get(old) == Some(self.front) {
+                self.present.remove(old);
             }
             self.front += 1;
         }
@@ -86,7 +83,7 @@ impl NodePrefetchPredictor {
         // (live entries stay in place to preserve LRU order).
         while self.queue.len() > self.capacity * 4 {
             match self.queue.front() {
-                Some(old) if self.present.get(old) != Some(&self.front) => {
+                Some(&old) if self.present.get(old) != Some(self.front) => {
                     self.queue.pop_front();
                     self.front += 1;
                 }
@@ -98,7 +95,7 @@ impl NodePrefetchPredictor {
     /// Decides whether a miss on `addr` should send a prefetch to the
     /// memory controller: yes iff the address has not been seen recently.
     pub fn should_prefetch(&mut self, addr: LineAddr) -> bool {
-        let seen = self.present.contains_key(&addr);
+        let seen = self.present.get(addr).is_some();
         if seen {
             self.prefetch_suppressions += 1;
         } else {
@@ -142,7 +139,7 @@ impl NodePrefetchPredictor {
     fn live(&self) -> impl Iterator<Item = LineAddr> + '_ {
         (self.front..)
             .zip(&self.queue)
-            .filter(|&(stamp, a)| self.present.get(a) == Some(&stamp))
+            .filter(|&(stamp, &a)| self.present.get(a) == Some(stamp))
             .map(|(_, &a)| a)
     }
 
@@ -191,8 +188,7 @@ impl NodePrefetchPredictor {
             )));
         }
         let mut queue = VecDeque::with_capacity(n);
-        let mut present = FxHashMap::default();
-        present.reserve(n);
+        let mut present = StampTable::default();
         for stamp in 0..n as u64 {
             let a: LineAddr = r.get()?;
             if present.insert(a, stamp).is_some() {
@@ -209,6 +205,170 @@ impl NodePrefetchPredictor {
             prefetch_hits: r.get()?,
             prefetch_suppressions: r.get()?,
         })
+    }
+}
+
+/// The predictor's address → stamp map, built for its one access
+/// pattern: every observation looks an address up, so each slot holds
+/// the address and its stamp side by side and a probe reads one 16-byte
+/// slot (one cache line), where a general-purpose hash map reads a
+/// control group and then a bucket.
+///
+/// Open addressing over a power-of-two slot array: multiplicative
+/// (Fibonacci) hashing takes the product's high bits as the home slot,
+/// collisions probe linearly (wrapping at the end), and removal shifts
+/// the rest of the probe chain back instead of leaving tombstones. The
+/// array is allocated at the first insert and doubles whenever an insert
+/// would lift the load past 3/4, so a predictor that never observes owns
+/// no table and a full 8K predictor owns 16 384 slots.
+///
+/// The table is never saved: a snapshot stores the live sequence, from
+/// which `snap_load` rebuilds it.
+#[derive(Debug, Clone, Default)]
+struct StampTable {
+    /// The slots; empty until the first insert.
+    slots: Vec<Slot>,
+    /// Occupied slots.
+    len: usize,
+    /// `64 - log2(slots.len())`: shifts a hash down to a slot index.
+    shift: u32,
+}
+
+/// One slot of a [`StampTable`], aligned so that it never straddles two
+/// cache lines.
+#[derive(Debug, Clone, Copy)]
+#[repr(align(16))]
+struct Slot {
+    addr: u64,
+    stamp: u64,
+}
+
+impl Slot {
+    /// An empty slot. No stamp reaches `u64::MAX`: one is taken per
+    /// observation.
+    const VACANT: Slot = Slot {
+        addr: 0,
+        stamp: u64::MAX,
+    };
+
+    fn is_vacant(self) -> bool {
+        self.stamp == u64::MAX
+    }
+}
+
+impl StampTable {
+    /// Slots of the first allocation.
+    const MIN_SLOTS: usize = 8;
+
+    /// The slot `addr`'s probe chain starts at.
+    fn home(&self, addr: u64) -> usize {
+        (addr.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize
+    }
+
+    /// The slot holding `addr` (`Ok`), or the vacant slot that ends its
+    /// probe chain (`Err`). The table must be allocated; its load bound
+    /// guarantees a vacant slot.
+    fn find(&self, addr: u64) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(addr);
+        loop {
+            let s = self.slots[i];
+            if s.is_vacant() {
+                return Err(i);
+            }
+            if s.addr == addr {
+                return Ok(i);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// The stamp `addr` maps to.
+    fn get(&self, addr: LineAddr) -> Option<u64> {
+        if self.len == 0 {
+            return None;
+        }
+        self.find(addr.raw()).ok().map(|i| self.slots[i].stamp)
+    }
+
+    /// Maps `addr` to `stamp`; returns the stamp it replaced.
+    fn insert(&mut self, addr: LineAddr, stamp: u64) -> Option<u64> {
+        let addr = addr.raw();
+        if self.slots.is_empty() {
+            self.resize(Self::MIN_SLOTS);
+        }
+        match self.find(addr) {
+            Ok(i) => return Some(std::mem::replace(&mut self.slots[i].stamp, stamp)),
+            Err(i) if (self.len + 1) * 4 <= self.slots.len() * 3 => {
+                self.slots[i] = Slot { addr, stamp };
+            }
+            Err(_) => {
+                self.resize(self.slots.len() * 2);
+                self.place(Slot { addr, stamp });
+            }
+        }
+        self.len += 1;
+        None
+    }
+
+    /// Removes `addr`; returns the stamp it mapped to.
+    fn remove(&mut self, addr: LineAddr) -> Option<u64> {
+        if self.len == 0 {
+            return None;
+        }
+        let mut hole = self.find(addr.raw()).ok()?;
+        let stamp = self.slots[hole].stamp;
+        let mask = self.slots.len() - 1;
+        let mut i = hole;
+        loop {
+            i = (i + 1) & mask;
+            let s = self.slots[i];
+            if s.is_vacant() {
+                break;
+            }
+            // `s` may move back into the hole iff the hole lies on its
+            // probe chain: it sits at least as far from its home as the
+            // hole is behind it.
+            if (i.wrapping_sub(self.home(s.addr)) & mask) >= (i.wrapping_sub(hole) & mask) {
+                self.slots[hole] = s;
+                hole = i;
+            }
+        }
+        self.slots[hole] = Slot::VACANT;
+        self.len -= 1;
+        Some(stamp)
+    }
+
+    /// Writes `slot`, whose address is absent, into the first vacant
+    /// slot of its probe chain.
+    fn place(&mut self, slot: Slot) {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(slot.addr);
+        while !self.slots[i].is_vacant() {
+            i = (i + 1) & mask;
+        }
+        self.slots[i] = slot;
+    }
+
+    /// Rehashes every entry into `n` (a power of two) slots.
+    fn resize(&mut self, n: usize) {
+        let old = std::mem::replace(&mut self.slots, vec![Slot::VACANT; n]);
+        self.shift = 64 - n.trailing_zeros();
+        for s in old {
+            if !s.is_vacant() {
+                self.place(s);
+            }
+        }
+    }
+
+    /// Number of entries.
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the table holds no entry.
+    fn is_empty(&self) -> bool {
+        self.len == 0
     }
 }
 
@@ -385,6 +545,74 @@ mod tests {
                     proptest::prop_assert_eq!(saved(&back), bytes);
                     proptest::prop_assert_eq!(digest_of(&back), digest_of(&npp));
                     npp = back;
+                }
+            }
+        }
+    }
+
+    /// `n` addresses whose probe chains start at the last slot of every
+    /// table of 8, 16 or 32 slots (the top five hash bits all set).
+    fn homed_at_the_end(n: usize) -> Vec<u64> {
+        let t = StampTable {
+            shift: 64 - 5,
+            ..StampTable::default()
+        };
+        (0u64..).filter(|&a| t.home(a) == 31).take(n).collect()
+    }
+
+    /// A probe chain that wraps past the last slot, and a removal that
+    /// shifts it back across the wrap.
+    #[test]
+    fn stamp_table_wraps_and_shifts_back() {
+        let keys = homed_at_the_end(4);
+        let mut t = StampTable::default();
+        for (stamp, &a) in keys.iter().enumerate() {
+            assert_eq!(t.insert(LineAddr::new(a), stamp as u64), None);
+        }
+        assert_eq!(t.slots.len(), 8);
+        let at = |t: &StampTable, i: usize| t.slots[i].addr;
+        assert_eq!(
+            [at(&t, 7), at(&t, 0), at(&t, 1), at(&t, 2)],
+            [keys[0], keys[1], keys[2], keys[3]]
+        );
+        assert_eq!(t.remove(LineAddr::new(keys[0])), Some(0));
+        assert_eq!(
+            [at(&t, 7), at(&t, 0), at(&t, 1)],
+            [keys[1], keys[2], keys[3]]
+        );
+        assert!(t.slots[2].is_vacant());
+        for (stamp, &a) in keys.iter().enumerate().skip(1) {
+            assert_eq!(t.get(LineAddr::new(a)), Some(stamp as u64));
+        }
+        assert_eq!(t.get(LineAddr::new(keys[0])), None);
+    }
+
+    proptest::proptest! {
+        /// The table alone against a `BTreeMap`: inserts, refreshes and
+        /// removals over addresses half of which share the last home
+        /// slot, so probe chains wrap at every table size the run
+        /// reaches (8, 16 and 32 slots) and removals shift entries back
+        /// across the wrap.
+        #[test]
+        fn stamp_table_matches_a_btreemap(
+            ops in proptest::collection::vec((0u8..3, 0usize..24), 1..600),
+        ) {
+            let mut pool = homed_at_the_end(12);
+            pool.extend(1000..1012);
+            let mut t = StampTable::default();
+            let mut model = std::collections::BTreeMap::new();
+            for (stamp, (op, ix)) in ops.into_iter().enumerate() {
+                let a = LineAddr::new(pool[ix]);
+                if op == 0 {
+                    proptest::prop_assert_eq!(t.remove(a), model.remove(&a));
+                } else {
+                    proptest::prop_assert_eq!(t.insert(a, stamp as u64), model.insert(a, stamp as u64));
+                }
+                proptest::prop_assert_eq!(t.len(), model.len());
+                proptest::prop_assert!(t.len() * 4 <= t.slots.len() * 3);
+                for &raw in &pool {
+                    let a = LineAddr::new(raw);
+                    proptest::prop_assert_eq!(t.get(a), model.get(&a).copied());
                 }
             }
         }

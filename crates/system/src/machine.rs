@@ -638,15 +638,19 @@ impl<A: NodeAgent> Sim<A> {
         // queue (the old pop-then-check discarded it, losing an event
         // and advancing the clock past the cap). The checkpoint probe
         // runs *before* the pop so a snapshot always lands on an event
-        // boundary with the queue fully intact.
+        // boundary with the queue fully intact. A checkpoint is due only
+        // at a boundary below the cap, so that compare comes first: with
+        // checkpointing off (`next_ckpt == Cycle::MAX`) each event costs
+        // one integer compare and one queue probe, the pop.
         while let Some((t, ev)) = {
             if budget == 0 {
                 None
             } else {
-                if self
-                    .queue
-                    .peek_time()
-                    .is_some_and(|pt| pt >= self.next_ckpt)
+                if self.next_ckpt < cap
+                    && self
+                        .queue
+                        .peek_time()
+                        .is_some_and(|pt| pt >= self.next_ckpt)
                 {
                     self.maybe_checkpoint(cap);
                 }

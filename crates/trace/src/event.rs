@@ -1,5 +1,6 @@
 //! Typed trace events and their JSONL encoding.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::json::Json;
@@ -508,50 +509,164 @@ fn err(msg: impl Into<String>) -> ParseError {
     ParseError(msg.into())
 }
 
-/// The value of `key` in a decoded trace line.
-fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, ParseError> {
-    v.get(key)
-        .ok_or_else(|| err(format!("missing field '{key}'")))
+/// Declares [`Key`], one variant per member name a trace line may carry.
+macro_rules! trace_keys {
+    ($($key:ident = $name:literal),* $(,)?) => {
+        /// A member a trace line may carry. [`TraceEvent::from_jsonl`]
+        /// files a line's members under their keys in one walk
+        /// ([`Fields`]), so reading a field indexes an array instead of
+        /// searching the object's map.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        enum Key {
+            $($key,)*
+        }
+
+        impl Key {
+            /// Every key, in declaration order.
+            const ALL: &'static [Key] = &[$(Key::$key,)*];
+            /// The member name of each key, in declaration order.
+            const NAMES: &'static [&'static str] = &[$($name,)*];
+        }
+    };
 }
 
-fn expected(key: &str, what: &str, got: &Json) -> ParseError {
+trace_keys! {
+    T = "t",
+    N = "n",
+    Tn = "tn",
+    Ts = "ts",
+    Line = "line",
+    Ev = "ev",
+    Op = "op",
+    Retry = "retry",
+    To = "to",
+    Pl = "pl",
+    Pos = "pos",
+    Sq = "sq",
+    Lh = "lh",
+    Outc = "outc",
+    Occ = "occ",
+    On = "on",
+    Os = "os",
+    Wn = "wn",
+    Ws = "ws",
+    Data = "data",
+    Pref = "pref",
+    Lat = "lat",
+    C2c = "c2c",
+    Delay = "delay",
+    Snid = "snid",
+    Fk = "fk",
+    Code = "code",
+    Ch = "ch",
+    Seq = "seq",
+    Att = "att",
+    Link = "link",
+    Up = "up",
+    From = "from",
+}
+
+impl Key {
+    /// Slots of [`Key::BY_HASH`].
+    const SLOTS: usize = 128;
+
+    /// [`Key::hash`] slot → index into [`Key::ALL`] (`u8::MAX` if none).
+    /// Built at compile time; the build fails if two names share a slot.
+    const BY_HASH: [u8; Self::SLOTS] = {
+        let mut table = [u8::MAX; Self::SLOTS];
+        let mut i = 0;
+        while i < Self::NAMES.len() {
+            let h = Self::hash(Self::NAMES[i].as_bytes());
+            assert!(table[h] == u8::MAX, "two trace keys share a hash slot");
+            table[h] = i as u8;
+            i += 1;
+        }
+        table
+    };
+
+    /// A slot from a name's length and its first and last bytes, which
+    /// differ between any two keys.
+    const fn hash(name: &[u8]) -> usize {
+        match name {
+            [] => 0,
+            [first, .., last] | [first @ last] => {
+                (name.len() * 4 + *first as usize * 12 + *last as usize) % Self::SLOTS
+            }
+        }
+    }
+
+    /// The key named `name`, if a trace line may carry it.
+    fn of(name: &str) -> Option<Key> {
+        let i = Self::BY_HASH[Self::hash(name.as_bytes())] as usize;
+        (i < Self::ALL.len() && Self::NAMES[i] == name).then(|| Self::ALL[i])
+    }
+
+    fn name(self) -> &'static str {
+        Self::NAMES[self as usize]
+    }
+}
+
+/// The members of one trace line's object, by [`Key`]; members no key
+/// names are ignored.
+struct Fields<'a>([Option<&'a Json>; Key::ALL.len()]);
+
+impl<'a> Fields<'a> {
+    fn of(members: &'a BTreeMap<String, Json>) -> Self {
+        let mut fields = [None; Key::ALL.len()];
+        for (name, value) in members {
+            if let Some(key) = Key::of(name) {
+                fields[key as usize] = Some(value);
+            }
+        }
+        Fields(fields)
+    }
+}
+
+/// The value of `key` in a decoded trace line.
+fn field<'a>(f: &Fields<'a>, key: Key) -> Result<&'a Json, ParseError> {
+    f.0[key as usize].ok_or_else(|| err(format!("missing field '{}'", key.name())))
+}
+
+fn expected(key: Key, what: &str, got: &Json) -> ParseError {
     err(format!(
-        "field '{key}': expected {what}, got {}",
+        "field '{}': expected {what}, got {}",
+        key.name(),
         got.render()
     ))
 }
 
 /// An unsigned integer field, exactly as the writer prints them.
-fn uint(v: &Json, key: &str) -> Result<u64, ParseError> {
-    match field(v, key)? {
+fn uint(f: &Fields<'_>, key: Key) -> Result<u64, ParseError> {
+    match field(f, key)? {
         Json::Uint(n) => Ok(*n),
         other => Err(expected(key, "an unsigned integer", other)),
     }
 }
 
 /// An unsigned integer field that must fit a narrower type.
-fn narrow<T: TryFrom<u64>>(v: &Json, key: &str) -> Result<T, ParseError> {
-    let n = uint(v, key)?;
+fn narrow<T: TryFrom<u64>>(f: &Fields<'_>, key: Key) -> Result<T, ParseError> {
+    let n = uint(f, key)?;
     T::try_from(n).map_err(|_| {
         err(format!(
-            "field '{key}': {n} is out of range for {}",
+            "field '{}': {n} is out of range for {}",
+            key.name(),
             std::any::type_name::<T>()
         ))
     })
 }
 
-fn flag(v: &Json, key: &str) -> Result<bool, ParseError> {
-    let f = field(v, key)?;
-    f.as_bool().ok_or_else(|| expected(key, "a boolean", f))
+fn flag(f: &Fields<'_>, key: Key) -> Result<bool, ParseError> {
+    let v = field(f, key)?;
+    v.as_bool().ok_or_else(|| expected(key, "a boolean", v))
 }
 
-fn text<'a>(v: &'a Json, key: &str) -> Result<&'a str, ParseError> {
-    let f = field(v, key)?;
-    f.as_str().ok_or_else(|| expected(key, "a string", f))
+fn text<'a>(f: &Fields<'a>, key: Key) -> Result<&'a str, ParseError> {
+    let v = field(f, key)?;
+    v.as_str().ok_or_else(|| expected(key, "a string", v))
 }
 
-fn op(v: &Json, key: &str) -> Result<OpClass, ParseError> {
-    let s = text(v, key)?;
+fn op(f: &Fields<'_>, key: Key) -> Result<OpClass, ParseError> {
+    let s = text(f, key)?;
     OpClass::from_code(s).ok_or_else(|| err(format!("bad op class '{s}'")))
 }
 
@@ -578,14 +693,16 @@ impl Payload {
         }
     }
 
-    fn decode(f: &Json) -> Result<Self, ParseError> {
-        match text(f, "pl")? {
-            "R" => Ok(Payload::Request { op: op(f, "op")? }),
+    fn decode(f: &Fields<'_>) -> Result<Self, ParseError> {
+        match text(f, Key::Pl)? {
+            "R" => Ok(Payload::Request {
+                op: op(f, Key::Op)?,
+            }),
             "r" => Ok(Payload::Response {
-                positive: flag(f, "pos")?,
-                squashed: flag(f, "sq")?,
-                loser_hint: flag(f, "lh")?,
-                outcomes: narrow(f, "outc")?,
+                positive: flag(f, Key::Pos)?,
+                squashed: flag(f, Key::Sq)?,
+                loser_hint: flag(f, Key::Lh)?,
+                outcomes: narrow(f, Key::Outc)?,
             }),
             other => Err(err(format!("bad payload tag '{other}'"))),
         }
@@ -747,113 +864,115 @@ impl TraceEvent {
     /// missing field.
     pub fn from_jsonl(line: &str) -> Result<Self, ParseError> {
         let v = Json::parse(line).map_err(|e| err(format!("not JSON: {e}")))?;
-        if !matches!(v, Json::Obj(_)) {
+        let Json::Obj(members) = &v else {
             return Err(err("not an object"));
-        }
-        let f = &v;
-        let kind = match text(f, "ev")? {
+        };
+        let f = &Fields::of(members);
+        let kind = match text(f, Key::Ev)? {
             "issue" => EventKind::RequestIssue {
-                op: op(f, "op")?,
-                retry: flag(f, "retry")?,
+                op: op(f, Key::Op)?,
+                retry: flag(f, Key::Retry)?,
             },
             "ring_send" => EventKind::RingSend {
-                to: narrow(f, "to")?,
+                to: narrow(f, Key::To)?,
                 payload: Payload::decode(f)?,
             },
             "ring_recv" => EventKind::RingRecv {
                 payload: Payload::decode(f)?,
             },
-            "mcast" => EventKind::MulticastRequest { op: op(f, "op")? },
+            "mcast" => EventKind::MulticastRequest {
+                op: op(f, Key::Op)?,
+            },
             "snoop" => EventKind::SnoopPerform {
-                positive: flag(f, "pos")?,
+                positive: flag(f, Key::Pos)?,
             },
             "snoop_skip" => EventKind::SnoopSkip,
             "ltt_insert" => EventKind::LttInsert {
-                occupancy: narrow(f, "occ")?,
+                occupancy: narrow(f, Key::Occ)?,
             },
             "ltt_remove" => EventKind::LttRemove {
-                occupancy: narrow(f, "occ")?,
+                occupancy: narrow(f, Key::Occ)?,
             },
             "ltt_stall" => EventKind::LttStall,
             "collision" => EventKind::Collision {
-                other_node: narrow(f, "on")?,
-                other_serial: uint(f, "os")?,
+                other_node: narrow(f, Key::On)?,
+                other_serial: uint(f, Key::Os)?,
             },
             "winner" => EventKind::WinnerSelected {
-                winner_node: narrow(f, "wn")?,
-                winner_serial: uint(f, "ws")?,
+                winner_node: narrow(f, Key::Wn)?,
+                winner_serial: uint(f, Key::Ws)?,
             },
             "consume" => EventKind::ResponseConsume {
-                positive: flag(f, "pos")?,
-                squashed: flag(f, "sq")?,
-                loser_hint: flag(f, "lh")?,
-                outcomes: narrow(f, "outc")?,
+                positive: flag(f, Key::Pos)?,
+                squashed: flag(f, Key::Sq)?,
+                loser_hint: flag(f, Key::Lh)?,
+                outcomes: narrow(f, Key::Outc)?,
             },
             "supply" => EventKind::Suppliership {
-                to: narrow(f, "to")?,
-                with_data: flag(f, "data")?,
+                to: narrow(f, Key::To)?,
+                with_data: flag(f, Key::Data)?,
             },
             "mem_fetch" => EventKind::MemFetch {
-                prefetch: flag(f, "pref")?,
+                prefetch: flag(f, Key::Pref)?,
             },
             "pref_hit" => EventKind::PrefetchHit,
             "writeback" => EventKind::Writeback,
             "bound" => EventKind::Bound {
-                latency: uint(f, "lat")?,
-                c2c: flag(f, "c2c")?,
+                latency: uint(f, Key::Lat)?,
+                c2c: flag(f, Key::C2c)?,
             },
             "complete" => EventKind::Complete {
-                op: op(f, "op")?,
-                c2c: flag(f, "c2c")?,
-                latency: uint(f, "lat")?,
+                op: op(f, Key::Op)?,
+                c2c: flag(f, Key::C2c)?,
+                latency: uint(f, Key::Lat)?,
             },
             "retry" => EventKind::Retry {
-                delay: uint(f, "delay")?,
+                delay: uint(f, Key::Delay)?,
             },
             "starve" => EventKind::Starvation {
-                snid: narrow(f, "snid")?,
+                snid: narrow(f, Key::Snid)?,
             },
             "fault" => {
-                let code = text(f, "fk")?;
+                let code = text(f, Key::Fk)?;
                 EventKind::FaultInjected {
                     fault: FaultClass::from_code(code)
                         .ok_or_else(|| err(format!("bad fault class '{code}'")))?,
-                    delay: uint(f, "delay")?,
+                    delay: uint(f, Key::Delay)?,
                 }
             }
             "proto_err" => {
-                let code = text(f, "code")?;
+                let code = text(f, Key::Code)?;
                 EventKind::ProtocolError {
                     error: ErrorClass::from_code(code)
                         .ok_or_else(|| err(format!("bad error class '{code}'")))?,
                 }
             }
             "retx" => EventKind::Retransmit {
-                to: narrow(f, "to")?,
-                channel: narrow(f, "ch")?,
-                seq: uint(f, "seq")?,
-                attempt: narrow(f, "att")?,
+                to: narrow(f, Key::To)?,
+                channel: narrow(f, Key::Ch)?,
+                seq: uint(f, Key::Seq)?,
+                attempt: narrow(f, Key::Att)?,
             },
             "link_down" => EventKind::LinkDown {
-                link: narrow(f, "link")?,
-                up_at: uint(f, "up")?,
+                link: narrow(f, Key::Link)?,
+                up_at: uint(f, Key::Up)?,
             },
             "link_up" => EventKind::LinkUp {
-                link: narrow(f, "link")?,
+                link: narrow(f, Key::Link)?,
             },
             "rdeliver" => EventKind::ReliableDeliver {
-                from: narrow(f, "from")?,
-                channel: narrow(f, "ch")?,
-                seq: uint(f, "seq")?,
+                from: narrow(f, Key::From)?,
+                channel: narrow(f, Key::Ch)?,
+                seq: uint(f, Key::Seq)?,
             },
             other => return Err(err(format!("unknown event tag '{other}'"))),
         };
         Ok(TraceEvent {
-            cycle: uint(f, "t")?,
-            node: narrow(f, "n")?,
-            txn_node: narrow(f, "tn")?,
-            txn_serial: uint(f, "ts")?,
-            line: uint(f, "line")?,
+            cycle: uint(f, Key::T)?,
+            node: narrow(f, Key::N)?,
+            txn_node: narrow(f, Key::Tn)?,
+            txn_serial: uint(f, Key::Ts)?,
+            line: uint(f, Key::Line)?,
             kind,
         })
     }
@@ -862,6 +981,17 @@ impl TraceEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_key_is_found_by_its_name_only() {
+        for (i, &key) in Key::ALL.iter().enumerate() {
+            assert_eq!(key as usize, i);
+            assert_eq!(Key::of(key.name()), Some(key));
+        }
+        for name in ["", "x", "tt", "lin", "lines", "eV", "retr", "c2", "from "] {
+            assert_eq!(Key::of(name), None, "{name:?}");
+        }
+    }
 
     fn ev(kind: EventKind) -> TraceEvent {
         TraceEvent {
