@@ -135,12 +135,22 @@ impl NodePrefetchPredictor {
     }
 
     /// The remembered addresses, least recently observed first: the
-    /// queue with its stale entries skipped.
+    /// queue with its stale entries skipped. One pass over the table
+    /// marks the queue position of every live stamp (every stamp in the
+    /// table is that of a queue entry, so it lies in `front..front +
+    /// queue.len()`), and the queue walk keeps the marked entries: two
+    /// sequential scans in place of one table probe per queue entry.
     fn live(&self) -> impl Iterator<Item = LineAddr> + '_ {
-        (self.front..)
-            .zip(&self.queue)
-            .filter(|&(stamp, &a)| self.present.get(a) == Some(stamp))
-            .map(|(_, &a)| a)
+        let mut marked = vec![false; self.queue.len()];
+        for stamp in self.present.stamps() {
+            if let Some(m) = marked.get_mut((stamp - self.front) as usize) {
+                *m = true;
+            }
+        }
+        self.queue
+            .iter()
+            .zip(marked)
+            .filter_map(|(&a, live)| live.then_some(a))
     }
 
     /// Hashes the predictor's behavioral state into `h`: the capacity and
@@ -359,6 +369,14 @@ impl StampTable {
                 self.place(s);
             }
         }
+    }
+
+    /// Every entry's stamp, in slot order.
+    fn stamps(&self) -> impl Iterator<Item = u64> + '_ {
+        self.slots
+            .iter()
+            .filter(|s| !s.is_vacant())
+            .map(|s| s.stamp)
     }
 
     /// Number of entries.

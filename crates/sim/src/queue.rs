@@ -4,14 +4,17 @@
 //! simulated machine: almost every event is scheduled a handful of
 //! cycles out (ring hops are ~8 cycles, a DRAM round trip is a few
 //! hundred), so events land in one-cycle-wide buckets indexed by
-//! `time % BUCKETS` and are pushed/popped in O(1). The rare far-future
-//! event (watchdogs, cycle caps) falls back to a binary heap. Pops
-//! merge the earliest bucketed event with the heap top by `(time,
-//! seq)`, so the observable order — nondecreasing time, FIFO within a
-//! cycle — is *identical* to the previous pure-heap implementation.
+//! `time % BUCKETS` and are pushed/popped in O(1). The buckets are
+//! linked lists threaded through one slab of event slots, so the
+//! queue's storage follows the number of pending events, not the
+//! number of buckets. The rare far-future event (watchdogs, cycle caps)
+//! falls back to a binary heap. Pops merge the earliest bucketed event
+//! with the heap top by `(time, seq)`, so the observable order —
+//! nondecreasing time, FIFO within a cycle — is *identical* to the
+//! previous pure-heap implementation.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use crate::Cycle;
 
@@ -23,6 +26,8 @@ const BUCKETS: usize = 4096;
 const MASK: u64 = BUCKETS as u64 - 1;
 /// Words in the bucket-occupancy bitmap.
 const WORDS: usize = BUCKETS / 64;
+/// The end of a slot list.
+const NIL: u32 = u32::MAX;
 
 /// A deterministic discrete-event queue.
 ///
@@ -46,16 +51,24 @@ pub struct EventQueue<E> {
     /// Because pops always take the global minimum, `now` can never
     /// pass a pending bucketed event, and two in-window times that
     /// share a bucket index are equal — so at any moment a non-empty
-    /// bucket holds entries of exactly one time (`times[i]`), in
+    /// bucket holds entries of exactly one time (its `time`), in
     /// insertion (= FIFO) order. Entries carry no key of their own,
     /// which keeps the per-event copy to the payload itself.
-    buckets: Vec<VecDeque<E>>,
-    /// The common time of each non-empty bucket's entries.
-    times: Vec<Cycle>,
+    buckets: Vec<Bucket>,
+    /// Storage for every bucketed event. A non-empty bucket is the list
+    /// of slots from its `head` to its `tail` along `next`; the free
+    /// slots form a second list from `free`. A pop pushes its slot onto
+    /// the free list and a schedule takes the top one, so the event
+    /// written next lands on the cache line the last pop read, and the
+    /// slab never grows past the most events bucketed at once.
+    slots: Vec<Slot<E>>,
+    /// First free slot, or `NIL` when every slot holds an event.
+    free: u32,
     /// Occupancy bitmap over buckets; the earliest bucketed time is
     /// found by a circular first-set-bit scan from `now & MASK`
     /// (bucketed times all lie within one window, so circular index
-    /// order from `now` is time order).
+    /// order from `now` is time order). A bucket's fields mean
+    /// something only while its bit is set.
     occ: [u64; WORDS],
     /// Number of events currently in `buckets`.
     in_buckets: usize,
@@ -79,6 +92,24 @@ pub struct EventQueue<E> {
     /// the serial one. Always 0 outside a batch (and in snapshots,
     /// which are taken between batches).
     in_flight: usize,
+}
+
+/// One calendar bucket: the common time of its events and the first
+/// and last slot of their list.
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    time: Cycle,
+    head: u32,
+    tail: u32,
+}
+
+/// One slab slot: an event (`None` while the slot is free) and the next
+/// slot of its bucket or of the free list. A bucket's tail link is
+/// stale and never read: the bucket's `tail` ends the walk.
+#[derive(Debug, Clone)]
+struct Slot<E> {
+    event: Option<E>,
+    next: u32,
 }
 
 #[derive(Debug, Clone)]
@@ -116,8 +147,16 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue at time 0.
     pub fn new() -> Self {
         EventQueue {
-            buckets: (0..BUCKETS).map(|_| VecDeque::new()).collect(),
-            times: vec![0; BUCKETS],
+            buckets: vec![
+                Bucket {
+                    time: 0,
+                    head: NIL,
+                    tail: NIL,
+                };
+                BUCKETS
+            ],
+            slots: Vec::new(),
+            free: NIL,
             occ: [0; WORDS],
             in_buckets: 0,
             heap: BinaryHeap::new(),
@@ -142,15 +181,21 @@ impl<E> EventQueue<E> {
             self.now
         );
         if time - self.now < BUCKETS as Cycle {
+            let s = self.store(event);
             let idx = (time & MASK) as usize;
             let bucket = &mut self.buckets[idx];
-            if bucket.is_empty() {
+            if self.occ[idx >> 6] & (1 << (idx & 63)) == 0 {
                 self.occ[idx >> 6] |= 1 << (idx & 63);
-                self.times[idx] = time;
+                *bucket = Bucket {
+                    time,
+                    head: s,
+                    tail: s,
+                };
             } else {
-                debug_assert_eq!(self.times[idx], time);
+                debug_assert_eq!(bucket.time, time);
+                self.slots[bucket.tail as usize].next = s;
+                bucket.tail = s;
             }
-            bucket.push_back(event);
             self.in_buckets += 1;
         } else {
             let seq = self.seq;
@@ -158,6 +203,25 @@ impl<E> EventQueue<E> {
             self.heap.push(Reverse(Entry { time, seq, event }));
         }
         self.peak = self.peak.max(self.len() + self.in_flight);
+    }
+
+    /// Writes `event` into the most recently freed slot, or into a new
+    /// one when none is free, and returns the slot.
+    fn store(&mut self, event: E) -> u32 {
+        if self.free == NIL {
+            let s = self.slots.len();
+            assert!(s < NIL as usize, "u32 links address at most {NIL} slots");
+            self.slots.push(Slot {
+                event: Some(event),
+                next: NIL,
+            });
+            return s as u32;
+        }
+        let s = self.free;
+        let slot = &mut self.slots[s as usize];
+        self.free = slot.next;
+        slot.event = Some(event);
+        s
     }
 
     /// Schedules `event` to fire `delay` cycles from the current time.
@@ -179,7 +243,7 @@ impl<E> EventQueue<E> {
         for _ in 0..=WORDS {
             if word != 0 {
                 let idx = (w << 6) + word.trailing_zeros() as usize;
-                return Some(self.times[idx]);
+                return Some(self.buckets[idx].time);
             }
             w = (w + 1) & (WORDS - 1);
             word = self.occ[w];
@@ -214,12 +278,19 @@ impl<E> EventQueue<E> {
             self.in_buckets -= 1;
             let idx = (key.time & MASK) as usize;
             let bucket = &mut self.buckets[idx];
-            let event = bucket
-                .pop_front()
+            let s = bucket.head;
+            let slot = &mut self.slots[s as usize];
+            let event = slot
+                .event
+                .take()
                 .expect("next_key found this bucket non-empty");
-            if bucket.is_empty() {
+            if s == bucket.tail {
                 self.occ[idx >> 6] &= !(1 << (idx & 63));
+            } else {
+                bucket.head = slot.next;
             }
+            slot.next = self.free;
+            self.free = s;
             (key.time, event)
         } else {
             let Reverse(e) = self.heap.pop().expect("next_key found the heap non-empty");
@@ -345,16 +416,13 @@ impl<E: Clone> EventQueue<E> {
     /// without disturbing the queue — the serialization form for
     /// checkpointing.
     ///
-    /// A non-destructive ordered walk: calendar buckets are scanned in
-    /// circular time order from `now`'s slot (bucketed times all lie in
-    /// one window, so circular index order *is* time order), and the
-    /// far-future heap is drained through a sorted index of
-    /// `(time, seq)` keys borrowed from the live heap — only the keys
-    /// are copied, never the payloads or the queue structure. The old
-    /// implementation deep-cloned the entire queue (payloads included)
-    /// and popped the clone: an O(len) allocation spike on every
-    /// checkpoint, which a per-LP engine would multiply by one queue
-    /// per LP. The merge follows the pop rule exactly: earlier time
+    /// A non-destructive ordered walk: occupied calendar buckets are
+    /// visited in circular index order from `now`'s slot (bucketed
+    /// times all lie in one window, so that *is* time order), each
+    /// along its slot list, and the far-future heap is drained through
+    /// a sorted index of `(time, seq)` keys borrowed from the live heap
+    /// — only the keys are copied, never the payloads or the queue
+    /// structure. The merge follows the pop rule exactly: earlier time
     /// first, time ties to the heap (every heap entry at time `t` was
     /// scheduled strictly before any bucket entry at `t` could be).
     pub fn pending_in_order(&self) -> Vec<(Cycle, E)> {
@@ -369,17 +437,23 @@ impl<E: Clone> EventQueue<E> {
         let start = (self.now & MASK) as usize;
         for off in 0..BUCKETS {
             let idx = (start + off) & (MASK as usize);
-            let bucket = &self.buckets[idx];
-            if bucket.is_empty() {
+            if self.occ[idx >> 6] & (1 << (idx & 63)) == 0 {
                 continue;
             }
-            let bt = self.times[idx];
-            while hi < heap_keys.len() && heap_keys[hi].0 <= bt {
+            let bucket = self.buckets[idx];
+            while hi < heap_keys.len() && heap_keys[hi].0 <= bucket.time {
                 out.push((heap_keys[hi].0, heap_keys[hi].2.clone()));
                 hi += 1;
             }
-            for e in bucket {
-                out.push((bt, e.clone()));
+            let mut s = bucket.head;
+            loop {
+                let slot = &self.slots[s as usize];
+                let event = slot.event.as_ref().expect("a bucket's slots hold events");
+                out.push((bucket.time, event.clone()));
+                if s == bucket.tail {
+                    break;
+                }
+                s = slot.next;
             }
         }
         for &(t, _, e) in &heap_keys[hi..] {
@@ -773,5 +847,42 @@ mod tests {
             got.push(e);
         }
         assert_eq!(got, expect);
+    }
+
+    /// The slab holds one slot per event bucketed at once, however many
+    /// buckets the events pass through: churning 208 pending events
+    /// (the 8×8 Eager peak) around the calendar ten times never grows it
+    /// past the peak. A buffer per bucket that only grows keeps slots in
+    /// every bucket ever used, all 4 096 of them here; on the 8×8 Eager
+    /// `fmm` run such buffers ended up holding 131 328 slots.
+    #[test]
+    fn event_storage_never_exceeds_the_peak_pending_count() {
+        let k = 208;
+        let mut rng = crate::DetRng::seed(27);
+        let mut q = EventQueue::new();
+        for e in 0..k {
+            q.schedule(rng.below(600), e);
+        }
+        let mut last = 0;
+        while q.now() < 10 * BUCKETS as Cycle {
+            let (t, e) = q.pop().expect("every pop reschedules its event");
+            // A third of the events follow the previous one into its
+            // cycle, so same-cycle bursts form.
+            let at = if last >= t && rng.below(3) == 0 {
+                last
+            } else {
+                t + 1 + rng.below(600)
+            };
+            q.schedule(at, e);
+            last = at;
+            assert!(
+                q.slots.len() <= q.peak_len(),
+                "{} slots for a peak of {} pending events",
+                q.slots.len(),
+                q.peak_len()
+            );
+        }
+        assert_eq!(q.peak_len(), k);
+        assert_eq!(q.len(), k);
     }
 }

@@ -674,11 +674,11 @@ impl<A: NodeAgent> Sim<A> {
             self.ctx().dispatch(t, ev, &mut fx);
             self.fx_buf = fx;
         }
-        if budget == 0 && self.queue.peek_time().is_some_and(|pt| pt < cap) {
-            // Budget exhausted with runnable work left: yield without
-            // running the end-of-run epilogue. Flushing the sink is
-            // observable on the trace *file/stream* only, never in
-            // simulated state.
+        if budget == 0 && self.queue.peek_time().is_some_and(|pt| pt <= cap) {
+            // Budget exhausted with runnable work left (`pop_before`
+            // runs events *at* the cap too): yield without running the
+            // end-of-run epilogue. Flushing the sink is observable on
+            // the trace *file/stream* only, never in simulated state.
             if let Some(s) = self.sink.as_mut() {
                 let _ = s.flush();
             }

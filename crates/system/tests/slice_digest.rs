@@ -10,7 +10,9 @@
 
 use ring_coherence::ProtocolVariant;
 use ring_noc::{FaultPlan, FaultProfile};
-use ring_system::{HtMachine, Machine, MachineConfig, NodeAgent, RunProgress, Sim};
+use ring_system::{
+    HtMachine, Machine, MachineConfig, NodeAgent, Protocol, RunProgress, RunSpec, Sim,
+};
 use ring_trace::{DigestSink, SharedBufferSink};
 use ring_workloads::AppProfile;
 
@@ -89,6 +91,57 @@ fn sliced_runs_are_byte_identical() {
     assert_slicing_is_unobservable("HT", || {
         HtMachine::new(cfg(ProtocolVariant::Eager, false), &profile())
     });
+}
+
+/// A 4×4 Uncorq run (200 ops of `fmm`, seed 7) capped at `max_cycles`
+/// and driven in slices of `slice` events: its stats listing, trace
+/// digest and event count.
+fn capped_run(max_cycles: u64, slice: u64) -> (String, (u64, u64), u64) {
+    let mut spec = RunSpec::paper(Protocol::Ring(ProtocolVariant::Uncorq));
+    spec.workload = "fmm".into();
+    spec.ops = Some(200);
+    (spec.width, spec.height) = (4, 4);
+    spec.seed = 7;
+    spec.max_cycles = max_cycles;
+    let (cfg, profile) = spec.build().expect("a valid spec");
+    let mut m = Machine::new(cfg, &profile);
+    let sink = DigestSink::new();
+    m.set_trace_sink(Box::new(sink.clone()));
+    let r = loop {
+        if let RunProgress::Done(r) = m.try_run_slice(slice).expect("a capped run is no stall") {
+            break r;
+        }
+    };
+    assert!(!r.finished, "the cap must cut the run short");
+    let mut stats = Vec::new();
+    r.write_stats(&mut stats).expect("Vec write cannot fail");
+    let stats = String::from_utf8(stats).expect("the listing is text");
+    (stats, sink.digest(), r.stats.events)
+}
+
+/// The run loop also runs the events at exactly `max_cycles`, so a
+/// slice whose budget runs out just before them must yield, not end the
+/// run: stepping one event at a time, or one slice of exactly the
+/// events before the cap, reports the uninterrupted run.
+#[test]
+fn a_slice_ending_just_before_the_cap_does_not_end_the_run() {
+    for cap in [1_500, 3_000] {
+        let reference = capped_run(cap, u64::MAX);
+        // A run capped one cycle earlier runs exactly the events before
+        // the cap.
+        let before = capped_run(cap - 1, u64::MAX).2;
+        assert!(
+            before < reference.2,
+            "cap {cap}: no event at the cap (test is vacuous)"
+        );
+        for slice in [1, before] {
+            assert_eq!(
+                capped_run(cap, slice),
+                reference,
+                "cap {cap}: slices of {slice} events diverged"
+            );
+        }
+    }
 }
 
 /// A sink removed between slices saw exactly a prefix of the full trace
