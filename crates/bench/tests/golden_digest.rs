@@ -160,11 +160,27 @@ const GOLDEN: &[(ProtocolVariant, usize, usize, u64, u64, u64)] = &[
     ),
 ];
 
+/// Cells off the square, laid out like `GOLDEN`. Every `GOLDEN` cell is
+/// square with an even height, where each snake-ring hop is one link.
+/// 5×3 has an odd height: its snake closes with a two-link hop, so ring
+/// messages there also take multi-hop xy routes, and its x and y
+/// extents differ.
+const GOLDEN_OFF_SQUARE: &[(ProtocolVariant, usize, usize, u64, u64, u64)] = &[(
+    ProtocolVariant::Uncorq,
+    5,
+    3,
+    0x9cbcdc51ec772173,
+    0x6262f1c19636ead1,
+    22539,
+)];
+
 /// The HyperTransport baseline on the ring rows' seed, app and ops:
-/// `(width, height, report digest, trace digest, trace events)`.
+/// `(width, height, report digest, trace digest, trace events)`. The
+/// 5×3 row is the HT half of `GOLDEN_OFF_SQUARE`.
 const GOLDEN_HT: &[(usize, usize, u64, u64, u64)] = &[
     (4, 4, 0x2711a6e405eaa14c, 0x84b585a373eda930, 6103),
     (8, 8, 0x16a361bc082afaf0, 0x4a2e9ddd099e76b2, 33682),
+    (5, 3, 0x8de681c380eb3ddf, 0xbaefe07c70b7a249, 5349),
 ];
 
 /// The HT machine for one golden cell, with a digest sink installed.
@@ -197,20 +213,24 @@ fn golden_digests_ht() {
     }
 }
 
+/// Runs one row's cell and asserts its pinned digests.
+fn check_row(
+    &(variant, w, h, report, trace, events): &(ProtocolVariant, usize, usize, u64, u64, u64),
+) {
+    let (r, t, n) = digest_cell(variant, w, h);
+    assert_eq!(
+        (r, t, n),
+        (report, trace, events),
+        "{variant} at {w}x{h}: digests diverged from golden \
+         (report {r:#018x} vs {report:#018x}, trace {t:#018x} vs {trace:#018x}, \
+         {n} vs {events} events)"
+    );
+}
+
 fn check(nodes: usize) {
     let mut checked = 0;
-    for &(variant, w, h, report, trace, events) in GOLDEN {
-        if w * h != nodes {
-            continue;
-        }
-        let (r, t, n) = digest_cell(variant, w, h);
-        assert_eq!(
-            (r, t, n),
-            (report, trace, events),
-            "{variant} at {w}x{h}: digests diverged from pre-optimization golden \
-             (report {r:#018x} vs {report:#018x}, trace {t:#018x} vs {trace:#018x}, \
-             {n} vs {events} events)"
-        );
+    for row in GOLDEN.iter().filter(|&&(_, w, h, ..)| w * h == nodes) {
+        check_row(row);
         checked += 1;
     }
     assert_eq!(
@@ -228,6 +248,11 @@ fn golden_digests_16_nodes() {
 #[test]
 fn golden_digests_64_nodes() {
     check(64);
+}
+
+#[test]
+fn golden_digests_off_the_square() {
+    GOLDEN_OFF_SQUARE.iter().for_each(check_row);
 }
 
 /// A disabled reliability sublayer is provably zero-cost: with
@@ -518,5 +543,17 @@ fn print_golden_table() {
             let (r, t, n) = digest_cell(variant, w, h);
             println!("    (ProtocolVariant::{variant:?}, {w}, {h}, {r:#018x}, {t:#018x}, {n}),");
         }
+    }
+    println!("GOLDEN_OFF_SQUARE:");
+    for &(variant, w, h, ..) in GOLDEN_OFF_SQUARE {
+        let (r, t, n) = digest_cell(variant, w, h);
+        println!("    (ProtocolVariant::{variant:?}, {w}, {h}, {r:#018x}, {t:#018x}, {n}),");
+    }
+    println!("GOLDEN_HT:");
+    for &(w, h, ..) in GOLDEN_HT {
+        let (mut m, sink) = ht_cell(w, h);
+        let r = m.run();
+        let (t, n) = sink.digest();
+        println!("    ({w}, {h}, {:#018x}, {t:#018x}, {n}),", r.digest());
     }
 }

@@ -439,7 +439,7 @@ impl Ltt {
 
     /// Current number of allocated entries.
     pub fn len(&self) -> usize {
-        self.sets.iter().map(|s| s.len()).sum()
+        self.entries
     }
 
     /// Whether the table is empty.
@@ -541,6 +541,14 @@ impl Ltt {
     }
 
     /// Rebuilds a table from a snapshot taken under the same geometry.
+    ///
+    /// # Errors
+    ///
+    /// `Malformed` (naming the reader's section) if the set count differs
+    /// from the configuration's, an entry sits in a set its line does not
+    /// map to, a line is listed twice, or the stored entry count is not
+    /// the number of entries in the sets: no table the simulator builds
+    /// holds any of these.
     pub fn snap_load(
         r: &mut ring_snapshot::SnapReader<'_>,
         cfg: LttConfig,
@@ -550,10 +558,28 @@ impl Ltt {
         if sets.len() != ltt.sets.len() {
             return Err(r.malformed("LTT set count does not match the configuration"));
         }
+        for (idx, set) in sets.iter().enumerate() {
+            for (i, e) in set.iter().enumerate() {
+                let line = e.line.raw();
+                if ltt.set_index(e.line) != idx {
+                    return Err(r.malformed(format!("LTT files line {line} under set {idx}")));
+                }
+                if set[..i].iter().any(|p| p.line == e.line) {
+                    return Err(r.malformed(format!("LTT lists line {line} twice")));
+                }
+            }
+        }
         ltt.sets = sets;
         ltt.response_seq = r.get()?;
         ltt.stalled_responses = r.get()?;
         ltt.entries = r.get()?;
+        let held: usize = ltt.sets.iter().map(Vec::len).sum();
+        if ltt.entries != held {
+            return Err(r.malformed(format!(
+                "LTT counts {} entries but its sets hold {held}",
+                ltt.entries
+            )));
+        }
         ltt.peak_entries = r.get()?;
         ltt.overflows = r.get()?;
         Ok(ltt)
@@ -754,6 +780,82 @@ mod tests {
         ltt.see_request(req(2, 0, 2, TxnKind::Read));
         assert!(ltt.spare.is_empty());
         assert_eq!(ltt.entry(LineAddr::new(2)).unwrap().in_flight(), 1);
+    }
+
+    /// An encoded 2-set table whose sets list `sets` (lines of idle
+    /// entries) and whose stored entry count is `entries`.
+    fn encoded(sets: [&[u64]; 2], entries: usize) -> Vec<u8> {
+        let sets: Vec<Vec<LttEntry>> = sets
+            .iter()
+            .map(|lines| {
+                lines
+                    .iter()
+                    .map(|&l| LttEntry::new(LineAddr::new(l), Vec::new()))
+                    .collect()
+            })
+            .collect();
+        let mut w = ring_snapshot::SnapWriter::new();
+        w.put(&sets);
+        for counter in [0u64, 0] {
+            w.put(&counter);
+        }
+        w.put(&entries);
+        w.put(&entries);
+        w.put(&0u64);
+        w.into_bytes()
+    }
+
+    fn loaded(bytes: &[u8]) -> Result<Ltt, ring_snapshot::SnapshotError> {
+        let cfg = LttConfig {
+            entries: 4,
+            ways: 2,
+        };
+        let mut r = ring_snapshot::SnapReader::new("agents", bytes);
+        let ltt = Ltt::snap_load(&mut r, cfg)?;
+        r.finish()?;
+        Ok(ltt)
+    }
+
+    fn is_malformed(r: Result<Ltt, ring_snapshot::SnapshotError>) -> bool {
+        matches!(r, Err(ring_snapshot::SnapshotError::Malformed { .. }))
+    }
+
+    #[test]
+    fn consistent_table_loads_with_its_count() {
+        let ltt = loaded(&encoded([&[2, 4], &[1]], 3)).unwrap();
+        assert_eq!(ltt.len(), 3);
+        assert_eq!(ltt.peak_entries(), 3);
+        assert!(ltt.entry(LineAddr::new(4)).is_some());
+    }
+
+    #[test]
+    fn entry_count_disagreeing_with_the_sets_is_malformed() {
+        assert!(is_malformed(loaded(&encoded([&[2, 4], &[1]], 2))));
+        assert!(is_malformed(loaded(&encoded([&[2, 4], &[1]], 4))));
+    }
+
+    #[test]
+    fn entry_in_the_wrong_set_is_malformed() {
+        assert!(is_malformed(loaded(&encoded([&[2, 3], &[1]], 3))));
+    }
+
+    #[test]
+    fn line_listed_twice_is_malformed() {
+        assert!(is_malformed(loaded(&encoded([&[2, 2], &[1]], 3))));
+    }
+
+    #[test]
+    fn len_follows_allocation_and_release() {
+        let mut ltt = Ltt::new(LttConfig::default());
+        ltt.see_request(req(1, 0, 5, TxnKind::Read));
+        ltt.see_request(req(2, 0, 6, TxnKind::Read));
+        ltt.see_request(req(3, 0, 6, TxnKind::Read));
+        assert_eq!(ltt.len(), 2);
+        assert!(ltt.take(LineAddr::new(6), txn(2, 0)).is_some());
+        assert_eq!(ltt.len(), 2);
+        assert!(ltt.take(LineAddr::new(6), txn(3, 0)).is_some());
+        assert!(ltt.take(LineAddr::new(5), txn(1, 0)).is_some());
+        assert!(ltt.is_empty());
     }
 
     #[test]

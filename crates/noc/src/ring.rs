@@ -12,9 +12,13 @@ use crate::topology::{NodeId, Torus};
 /// Two embeddings are provided:
 ///
 /// - [`RingEmbedding::boustrophedon`] — a snake path (row 0 left-to-right,
-///   row 1 right-to-left, …) closed by the torus wrap link. Every logical
-///   hop is exactly one physical link, the natural embedding for a torus
-///   and the one used for all paper experiments.
+///   row 1 right-to-left, …) closed back to node 0, the natural embedding
+///   for a torus and the one used for all paper experiments. With an even
+///   height every logical hop is exactly one physical link, the closing
+///   hop included (the y wrap link). With an odd height the last row runs
+///   left-to-right, so the closing hop from its last node to node 0
+///   crosses two links (one x wrap, one y wrap): on 5×3 the 15 hops of a
+///   lap take 16 links.
 /// - [`RingEmbedding::row_major`] — naive row-major order, in which the
 ///   end-of-row hop crosses two links. Used by the embedding ablation
 ///   bench.
@@ -57,8 +61,10 @@ impl RingEmbedding {
         RingEmbedding { order, position }
     }
 
-    /// Builds the snake (boustrophedon) embedding over `torus`; every
-    /// logical ring hop traverses exactly one physical link.
+    /// Builds the snake (boustrophedon) embedding over `torus`. Every
+    /// logical ring hop traverses exactly one physical link, except on an
+    /// odd height, where the closing hop (last node → node 0) traverses
+    /// two.
     pub fn boustrophedon(torus: &Torus) -> Self {
         let mut order = Vec::with_capacity(torus.nodes());
         for y in 0..torus.height() {
@@ -117,14 +123,14 @@ impl RingEmbedding {
 
     /// The node after `n` in ring order.
     pub fn successor(&self, n: NodeId) -> NodeId {
-        let p = self.position[n.0];
-        self.order[(p + 1) % self.order.len()]
+        let p = self.position[n.0] + 1;
+        self.order[if p == self.order.len() { 0 } else { p }]
     }
 
     /// The node before `n` in ring order.
     pub fn predecessor(&self, n: NodeId) -> NodeId {
         let p = self.position[n.0];
-        self.order[(p + self.order.len() - 1) % self.order.len()]
+        self.order[if p == 0 { self.order.len() - 1 } else { p - 1 }]
     }
 
     /// Ring position of `n` (0-based).
@@ -135,8 +141,12 @@ impl RingEmbedding {
     /// Number of ring hops from `from` to `to` following ring order
     /// (0 when equal).
     pub fn ring_distance(&self, from: NodeId, to: NodeId) -> usize {
-        let n = self.order.len();
-        (self.position[to.0] + n - self.position[from.0]) % n
+        let (f, t) = (self.position[from.0], self.position[to.0]);
+        if t >= f {
+            t - f
+        } else {
+            t + self.order.len() - f
+        }
     }
 
     /// Whether `x` lies strictly between `from` and `to` in ring order

@@ -77,6 +77,9 @@ pub struct LinkId(pub usize);
 pub struct Torus {
     width: usize,
     height: usize,
+    /// `xy[n]` = coordinates of node `n`, computed once so that routing
+    /// never divides by the extents.
+    xy: Vec<(usize, usize)>,
 }
 
 impl Torus {
@@ -87,7 +90,10 @@ impl Torus {
     /// Panics if either dimension is smaller than 2.
     pub fn new(width: usize, height: usize) -> Self {
         assert!(width >= 2 && height >= 2, "torus must be at least 2x2");
-        Torus { width, height }
+        let xy = (0..height)
+            .flat_map(|y| (0..width).map(move |x| (x, y)))
+            .collect();
+        Torus { width, height, xy }
     }
 
     /// Number of nodes.
@@ -116,8 +122,8 @@ impl Torus {
     ///
     /// Panics if the node id is out of range.
     pub fn coords(&self, n: NodeId) -> (usize, usize) {
-        assert!(n.0 < self.nodes(), "node {n} out of range");
-        (n.0 % self.width, n.0 / self.width)
+        assert!(n.0 < self.xy.len(), "node {n} out of range");
+        self.xy[n.0]
     }
 
     /// Node at coordinates `(x, y)` (taken modulo the torus extents).
@@ -142,9 +148,10 @@ impl Torus {
     }
 
     /// Signed minimal offset along one torus dimension of extent `len`,
-    /// from `a` to `b`: positive means move in the + direction.
+    /// from `a` to `b` (both below `len`): positive means move in the +
+    /// direction.
     fn min_offset(a: usize, b: usize, len: usize) -> isize {
-        let fwd = (b + len - a) % len;
+        let fwd = if b >= a { b - a } else { b + len - a };
         let bwd = len - fwd;
         if fwd <= bwd {
             fwd as isize
@@ -163,13 +170,14 @@ impl Torus {
     }
 
     /// Iterator form of [`Torus::route`] — walks the same links without
-    /// allocating, for the per-message hot path.
+    /// allocating or dividing, for the per-message hot path.
     pub fn route_iter(&self, from: NodeId, to: NodeId) -> RouteIter<'_> {
         let (fx, fy) = self.coords(from);
         let (tx, ty) = self.coords(to);
         RouteIter {
             torus: self,
-            cur: from,
+            x: fx,
+            y: fy,
             dx: Self::min_offset(fx, tx, self.width),
             dy: Self::min_offset(fy, ty, self.height),
         }
@@ -190,10 +198,15 @@ impl Torus {
 }
 
 /// Lazily walks the links of an xy route (see [`Torus::route_iter`]).
+///
+/// Carries the current coordinates and steps them with compare-and-wrap,
+/// so a hop costs no division.
 #[derive(Debug, Clone)]
 pub struct RouteIter<'a> {
     torus: &'a Torus,
-    cur: NodeId,
+    /// Coordinates of the node the next link leaves from.
+    x: usize,
+    y: usize,
     /// Remaining signed x offset (resolved first, per xy routing).
     dx: isize,
     /// Remaining signed y offset.
@@ -204,27 +217,29 @@ impl Iterator for RouteIter<'_> {
     type Item = LinkId;
 
     fn next(&mut self) -> Option<LinkId> {
-        let (d, remaining) = if self.dx != 0 {
-            let d = if self.dx > 0 {
-                Direction::East
-            } else {
-                Direction::West
-            };
-            (d, &mut self.dx)
-        } else if self.dy != 0 {
-            let d = if self.dy > 0 {
-                Direction::South
-            } else {
-                Direction::North
-            };
-            (d, &mut self.dy)
+        let (w, h) = (self.torus.width, self.torus.height);
+        let (x, y) = (self.x, self.y);
+        let d = if self.dx > 0 {
+            self.dx -= 1;
+            self.x = if x + 1 == w { 0 } else { x + 1 };
+            Direction::East
+        } else if self.dx < 0 {
+            self.dx += 1;
+            self.x = if x == 0 { w - 1 } else { x - 1 };
+            Direction::West
+        } else if self.dy > 0 {
+            self.dy -= 1;
+            self.y = if y + 1 == h { 0 } else { y + 1 };
+            Direction::South
+        } else if self.dy < 0 {
+            self.dy += 1;
+            self.y = if y == 0 { h - 1 } else { y - 1 };
+            Direction::North
         } else {
             return None;
         };
-        *remaining -= remaining.signum();
-        let link = self.torus.link(self.cur, d);
-        self.cur = self.torus.neighbor(self.cur, d);
-        Some(link)
+        // `Torus::link` of node `y * w + x`.
+        Some(LinkId((y * w + x) * 4 + d.index()))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {

@@ -50,6 +50,26 @@ proptest! {
         prop_assert_eq!(n, NodeId(0));
     }
 
+    /// On an odd height the snake's last row runs left to right, so the
+    /// closing hop (last node → node 0) crosses two links, one x wrap and
+    /// one y wrap; every other hop is a single link.
+    #[test]
+    fn snake_ring_odd_height_closes_with_one_two_link_hop(
+        w in 2usize..9,
+        h in (1usize..5).prop_map(|x| x * 2 + 1),
+    ) {
+        let t = Torus::new(w, h);
+        let ring = RingEmbedding::boustrophedon(&t);
+        let long: Vec<NodeId> = t
+            .iter()
+            .filter(|&n| t.distance(n, ring.successor(n)) != 1)
+            .collect();
+        prop_assert_eq!(long.len(), 1);
+        prop_assert_eq!(t.distance(long[0], ring.successor(long[0])), 2);
+        prop_assert_eq!(ring.successor(long[0]), NodeId(0));
+        prop_assert_eq!(ring.lap_physical_hops(&t), t.nodes() + 1);
+    }
+
     /// Multicast trees cover every node exactly once from any root.
     #[test]
     fn multicast_tree_is_spanning(t in arb_torus(), root in 0usize..64) {
