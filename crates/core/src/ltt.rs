@@ -217,7 +217,16 @@ impl LttEntry {
 #[derive(Debug)]
 pub struct Ltt {
     cfg: LttConfig,
-    sets: Vec<Vec<LttEntry>>,
+    /// The entries, filed by set: set `s` lives in bucket `s % BUCKETS`,
+    /// its entries in allocation order (a stable subsequence of the
+    /// bucket). Up to `BUCKETS` sets, each bucket holds one set (the
+    /// explorer's single set uses bucket 0 alone); a larger table files
+    /// sets `s`, `s + BUCKETS`, ... together. The buckets live inside the
+    /// `Ltt`, so a lookup reaches its set's entries without first
+    /// loading a heap array of set headers.
+    buckets: [Vec<LttEntry>; BUCKETS],
+    /// `sets - 1`: masks a line to its set.
+    set_mask: usize,
     response_seq: u64,
     stalled_responses: u64,
     /// Live entry count across all sets (kept incrementally; allocation
@@ -238,7 +247,8 @@ impl Clone for Ltt {
     fn clone(&self) -> Self {
         Ltt {
             cfg: self.cfg,
-            sets: self.sets.clone(),
+            buckets: self.buckets.clone(),
+            set_mask: self.set_mask,
             response_seq: self.response_seq,
             stalled_responses: self.stalled_responses,
             entries: self.entries,
@@ -248,6 +258,10 @@ impl Clone for Ltt {
         }
     }
 }
+
+/// Buckets of an [`Ltt`] (a power of two): the paper geometry's set
+/// count.
+const BUCKETS: usize = 8;
 
 impl Ltt {
     /// Creates an empty LTT.
@@ -264,7 +278,8 @@ impl Ltt {
         );
         Ltt {
             cfg,
-            sets: vec![Vec::new(); sets],
+            buckets: Default::default(),
+            set_mask: sets - 1,
             response_seq: 0,
             stalled_responses: 0,
             entries: 0,
@@ -275,12 +290,25 @@ impl Ltt {
     }
 
     fn set_index(&self, line: LineAddr) -> usize {
-        (line.raw() as usize) & (self.sets.len() - 1)
+        (line.raw() as usize) & self.set_mask
+    }
+
+    /// The bucket `line`'s set is filed in.
+    fn bucket_index(&self, line: LineAddr) -> usize {
+        self.set_index(line) % BUCKETS
+    }
+
+    /// The entries of set `set`, in allocation order.
+    fn set_entries(&self, set: usize) -> impl Iterator<Item = &LttEntry> + Clone {
+        let mask = self.set_mask;
+        self.buckets[set % BUCKETS]
+            .iter()
+            .filter(move |e| (e.line.raw() as usize) & mask == set)
     }
 
     /// The entry for `line`, if allocated.
     pub fn entry(&self, line: LineAddr) -> Option<&LttEntry> {
-        self.sets[self.set_index(line)]
+        self.buckets[self.bucket_index(line)]
             .iter()
             .find(|e| e.line == line)
     }
@@ -294,22 +322,25 @@ impl Ltt {
     /// is explicitly not modeled, as in the paper).
     pub fn entry_mut(&mut self, line: LineAddr) -> &mut LttEntry {
         let ways = self.cfg.ways;
-        let idx = self.set_index(line);
-        let pos = self.sets[idx].iter().position(|e| e.line == line);
+        let set = self.set_index(line);
+        let b = set % BUCKETS;
+        let pos = self.buckets[b].iter().position(|e| e.line == line);
         let i = match pos {
             Some(i) => i,
             None => {
-                if self.sets[idx].len() >= ways {
+                // A bucket holds at least its sets' entries, so only a
+                // bucket of `ways` or more can hold a full set.
+                if self.buckets[b].len() >= ways && self.set_entries(set).count() >= ways {
                     self.overflows += 1;
                 }
                 let slots = self.spare.pop().unwrap_or_default();
-                self.sets[idx].push(LttEntry::new(line, slots));
+                self.buckets[b].push(LttEntry::new(line, slots));
                 self.entries += 1;
                 self.peak_entries = self.peak_entries.max(self.entries);
-                self.sets[idx].len() - 1
+                self.buckets[b].len() - 1
             }
         };
-        &mut self.sets[idx][i]
+        &mut self.buckets[b][i]
     }
 
     /// Records an observed request: allocates the slot and remembers the
@@ -379,14 +410,14 @@ impl Ltt {
     /// Clears the reservation on `line` if `now` is past its expiry (or
     /// unconditionally when `force`). Returns whether one was cleared.
     pub fn clear_reservation(&mut self, line: LineAddr, now: Cycle, force: bool) -> bool {
-        let idx = self.set_index(line);
-        if let Some(i) = self.sets[idx].iter().position(|e| e.line == line) {
-            let entry = &mut self.sets[idx][i];
+        let b = self.bucket_index(line);
+        if let Some(i) = self.buckets[b].iter().position(|e| e.line == line) {
+            let entry = &mut self.buckets[b][i];
             if let Some((_, t)) = entry.reservation {
                 if force || now >= t {
                     entry.reservation = None;
                     if entry.idle() {
-                        self.free(idx, i);
+                        self.free(b, i);
                     }
                     return true;
                 }
@@ -398,20 +429,21 @@ impl Ltt {
     /// Removes the slot for `txn` on `line` and returns it; deallocates
     /// the entry if it becomes idle.
     pub fn take(&mut self, line: LineAddr, txn: TxnId) -> Option<TxnSlot> {
-        let idx = self.set_index(line);
-        let i = self.sets[idx].iter().position(|e| e.line == line)?;
-        let entry = &mut self.sets[idx][i];
+        let b = self.bucket_index(line);
+        let i = self.buckets[b].iter().position(|e| e.line == line)?;
+        let entry = &mut self.buckets[b][i];
         let slot = entry.take(txn);
         if entry.idle() {
-            self.free(idx, i);
+            self.free(b, i);
         }
         slot
     }
 
-    /// Deallocates entry `i` of set `idx` (idle, so its slot vector is
-    /// empty) and keeps the vector for the next entry.
-    fn free(&mut self, idx: usize, i: usize) {
-        let entry = self.sets[idx].remove(i);
+    /// Deallocates entry `i` of bucket `b` (idle, so its slot vector is
+    /// empty) and keeps the vector for the next entry. The bucket keeps
+    /// its order, so every set keeps its own.
+    fn free(&mut self, b: usize, i: usize) {
+        let entry = self.buckets[b].remove(i);
         self.spare.push(entry.slots);
         self.entries -= 1;
     }
@@ -458,7 +490,7 @@ impl Ltt {
     /// state-space explorer to deduplicate protocol states.
     pub fn digest(&self, h: &mut impl std::hash::Hasher) {
         use std::hash::Hash;
-        let mut entries: Vec<&LttEntry> = self.sets.iter().flatten().collect();
+        let mut entries: Vec<&LttEntry> = self.buckets.iter().flatten().collect();
         entries.sort_by_key(|e| e.line);
         entries.len().hash(h);
         for e in entries {
@@ -530,9 +562,18 @@ impl ring_snapshot::Snap for LttEntry {
 impl Ltt {
     /// Serializes the full table, preserving per-set entry order (which
     /// victim-free allocation order and drain order depend on) and the
-    /// raw response sequence numbers.
+    /// raw response sequence numbers. The sets are written as a
+    /// `Vec<Vec<LttEntry>>` in set order; how sets share buckets is
+    /// storage and is not saved.
     pub fn snap_save(&self, w: &mut ring_snapshot::SnapWriter) {
-        w.put(&self.sets);
+        w.put(&((self.set_mask + 1) as u64));
+        for set in 0..=self.set_mask {
+            let entries = self.set_entries(set);
+            w.put(&(entries.clone().count() as u64));
+            for e in entries {
+                w.put(e);
+            }
+        }
         w.put(&self.response_seq);
         w.put(&self.stalled_responses);
         w.put(&self.entries);
@@ -555,7 +596,7 @@ impl Ltt {
     ) -> Result<Self, ring_snapshot::SnapshotError> {
         let mut ltt = Ltt::new(cfg);
         let sets: Vec<Vec<LttEntry>> = r.get()?;
-        if sets.len() != ltt.sets.len() {
+        if sets.len() != ltt.set_mask + 1 {
             return Err(r.malformed("LTT set count does not match the configuration"));
         }
         for (idx, set) in sets.iter().enumerate() {
@@ -569,11 +610,13 @@ impl Ltt {
                 }
             }
         }
-        ltt.sets = sets;
+        let held: usize = sets.iter().map(Vec::len).sum();
+        for (idx, set) in sets.into_iter().enumerate() {
+            ltt.buckets[idx % BUCKETS].extend(set);
+        }
         ltt.response_seq = r.get()?;
         ltt.stalled_responses = r.get()?;
         ltt.entries = r.get()?;
-        let held: usize = ltt.sets.iter().map(Vec::len).sum();
         if ltt.entries != held {
             return Err(r.malformed(format!(
                 "LTT counts {} entries but its sets hold {held}",
@@ -856,6 +899,96 @@ mod tests {
         assert!(ltt.take(LineAddr::new(6), txn(3, 0)).is_some());
         assert!(ltt.take(LineAddr::new(5), txn(1, 0)).is_some());
         assert!(ltt.is_empty());
+    }
+
+    /// Drives an LTT of geometry `cfg` through 800 allocations, releases
+    /// and reservations over lines that crowd a few sets (several of
+    /// them sharing a bucket when the table has more than eight sets).
+    /// After every step each pool line's lookup must agree with a model
+    /// of which lines are allocated. Returns the overflow count and the
+    /// length and FxHash of the final `snap_save` bytes, after checking
+    /// that a reload saves the same bytes.
+    fn layout_run(cfg: LttConfig) -> (u64, usize, u64) {
+        use std::collections::BTreeMap;
+        use std::hash::Hasher;
+        // Sets 0, 8, 16, 1 and 9 of a 64-set table; two sets of 8.
+        let pool: Vec<u64> = [0u64, 8, 16, 1, 9]
+            .iter()
+            .flat_map(|&s| (0..10).map(move |k| s + 64 * k))
+            .collect();
+        let mut ltt = Ltt::new(cfg);
+        // Live transactions and reservation expiries per line.
+        let mut live: Vec<(u64, TxnId)> = Vec::new();
+        let mut reserved: BTreeMap<u64, Cycle> = BTreeMap::new();
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for step in 0..800u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let line = pool[(x >> 40) as usize % pool.len()];
+            let node = (x >> 8) as usize % 16;
+            match x % 8 {
+                0..=3 => {
+                    ltt.see_request(req(node, step, line, TxnKind::Read));
+                    live.push((line, txn(node, step)));
+                }
+                4 | 5 if !live.is_empty() => {
+                    let (l, t) = live.remove((x >> 20) as usize % live.len());
+                    ltt.snoop_complete(t, LineAddr::new(l), false);
+                    ltt.see_response(resp(t.node.0, t.serial, l, false));
+                    assert!(ltt.take(LineAddr::new(l), t).is_some());
+                }
+                6 => {
+                    ltt.reserve(LineAddr::new(line), NodeId(node), step + 50);
+                    reserved.insert(line, step + 50);
+                }
+                _ => {
+                    let due = reserved.get(&line).is_some_and(|&t| step >= t);
+                    assert_eq!(ltt.clear_reservation(LineAddr::new(line), step, false), due);
+                    if due {
+                        reserved.remove(&line);
+                    }
+                }
+            }
+            for &l in &pool {
+                let want = reserved.contains_key(&l) || live.iter().any(|&(m, _)| m == l);
+                assert_eq!(ltt.entry(LineAddr::new(l)).is_some(), want, "line {l}");
+            }
+            assert_eq!(
+                ltt.len(),
+                pool.iter()
+                    .filter(|&&l| ltt.entry(LineAddr::new(l)).is_some())
+                    .count()
+            );
+        }
+        let mut w = ring_snapshot::SnapWriter::new();
+        ltt.snap_save(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = ring_snapshot::SnapReader::new("agents", &bytes);
+        let back = Ltt::snap_load(&mut r, cfg).expect("a saved table loads");
+        r.finish().unwrap();
+        let mut again = ring_snapshot::SnapWriter::new();
+        back.snap_save(&mut again);
+        assert_eq!(again.into_bytes(), bytes);
+        let mut h = ring_sim::FxHasher::default();
+        h.write(&bytes);
+        (ltt.overflows(), bytes.len(), h.finish())
+    }
+
+    /// The set layout at the explorer's single set, the paper's eight
+    /// and sixty-four sets: lookups follow the model, and the overflow
+    /// counts and snapshot bytes are those of the table that kept each
+    /// set in a heap vector of its own (pinned from that layout).
+    #[test]
+    fn every_set_count_keeps_lookups_overflows_and_bytes() {
+        for (entries, ways, want) in [
+            (16, 16, (66, 14_780, 0xd686_6dbf_b86d_1344)),
+            (512, 64, (0, 14_836, 0x36eb_3117_a2ce_1b2d)),
+            (512, 8, (22, 15_284, 0xa47f_cf98_ca50_b3fc)),
+        ] {
+            let got = layout_run(LttConfig { entries, ways });
+            assert_eq!(got, want, "{entries}/{ways}");
+        }
     }
 
     #[test]

@@ -14,6 +14,14 @@ use std::collections::VecDeque;
 /// Modeled as an LRU table of the most recent *distinct* addresses
 /// (paper configuration: 8K line addresses).
 ///
+/// Observations are applied to the table in batches of `BATCH`: a node
+/// observes far more ring traffic than it queries, and each observation
+/// probes a table too large for the host's caches, so applying a batch
+/// back to back lets its independent probes overlap their misses.
+/// `should_prefetch` applies the pending observations first, and every
+/// reader (`len`, `is_empty`, the digest and the snapshot) reports the
+/// table as if they were applied, without applying them.
+///
 /// # Examples
 ///
 /// ```
@@ -31,18 +39,26 @@ pub struct NodePrefetchPredictor {
     capacity: usize,
     /// Lazy LRU queue, oldest first. Every observation pushes one entry
     /// and every pop takes the front, so entry `i` was pushed at stamp
-    /// `front + i`; it is live iff `present` maps its address to that
-    /// stamp, and stale (superseded by a refresh) otherwise.
+    /// `front + i`. The last `pending` entries are observations not yet
+    /// applied to `present`; an applied entry is live iff `present` maps
+    /// its address to its stamp, and stale (superseded by a refresh)
+    /// otherwise.
     queue: VecDeque<LineAddr>,
     /// Stamp of `queue[0]` (of the next observation while the queue is
     /// empty).
     front: u64,
     /// addr -> stamp of its live queue entry.
     present: StampTable,
+    /// Observations at the back of `queue` not yet applied to `present`:
+    /// fewer than `BATCH`.
+    pending: usize,
     observations: u64,
     prefetch_hits: u64,
     prefetch_suppressions: u64,
 }
+
+/// Observations a predictor applies to its table together.
+const BATCH: usize = 32;
 
 impl NodePrefetchPredictor {
     /// Creates a predictor remembering up to `capacity` distinct
@@ -58,14 +74,34 @@ impl NodePrefetchPredictor {
     /// Records a transaction address observed in ring traffic. Re-seen
     /// addresses are refreshed (moved to most-recently-used); distinct
     /// addresses beyond capacity evict the least recently observed.
+    ///
+    /// The address joins the pending batch at the back of the queue; a
+    /// full batch is applied at once.
     pub fn observe(&mut self, addr: LineAddr) {
         if self.capacity == 0 {
             return;
         }
         self.observations += 1;
-        let stamp = self.front + self.queue.len() as u64;
-        self.present.insert(addr, stamp);
         self.queue.push_back(addr);
+        self.pending += 1;
+        if self.pending == BATCH {
+            self.flush();
+        }
+    }
+
+    /// Applies the pending observations to the table, oldest first.
+    pub fn flush(&mut self) {
+        while self.pending > 0 {
+            let i = self.applied();
+            self.pending -= 1;
+            self.apply(self.queue[i], self.front + i as u64);
+        }
+    }
+
+    /// Applies the observation of `addr` whose queue entry has stamp
+    /// `stamp`: the oldest pending one.
+    fn apply(&mut self, addr: LineAddr, stamp: u64) {
+        self.present.insert(addr, stamp);
         // Evict least-recently-observed distinct addresses, skipping
         // stale queue entries superseded by a refresh.
         while self.present.len() > self.capacity {
@@ -79,9 +115,9 @@ impl NodePrefetchPredictor {
             }
             self.front += 1;
         }
-        // Bound the lazy queue by trimming leading stale entries only
+        // Bound the applied queue by trimming leading stale entries only
         // (live entries stay in place to preserve LRU order).
-        while self.queue.len() > self.capacity * 4 {
+        while self.applied() > self.capacity * 4 {
             match self.queue.front() {
                 Some(&old) if self.present.get(old) != Some(self.front) => {
                     self.queue.pop_front();
@@ -95,6 +131,7 @@ impl NodePrefetchPredictor {
     /// Decides whether a miss on `addr` should send a prefetch to the
     /// memory controller: yes iff the address has not been seen recently.
     pub fn should_prefetch(&mut self, addr: LineAddr) -> bool {
+        self.flush();
         let seen = self.present.get(addr).is_some();
         if seen {
             self.prefetch_suppressions += 1;
@@ -126,31 +163,64 @@ impl NodePrefetchPredictor {
 
     /// Distinct addresses currently remembered.
     pub fn len(&self) -> usize {
-        self.present.len()
+        let fresh = (self.applied()..self.queue.len())
+            .filter(|&i| self.last_in_batch(i) && self.present.get(self.queue[i]).is_none())
+            .count();
+        (self.present.len() + fresh).min(self.capacity)
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.present.is_empty()
+        self.present.is_empty() && self.pending == 0
     }
 
-    /// The remembered addresses, least recently observed first: the
-    /// queue with its stale entries skipped. One pass over the table
-    /// marks the queue position of every live stamp (every stamp in the
-    /// table is that of a queue entry, so it lies in `front..front +
-    /// queue.len()`), and the queue walk keeps the marked entries: two
-    /// sequential scans in place of one table probe per queue entry.
+    /// Queue entries applied to the table: the pending batch is
+    /// `queue[applied()..]`.
+    fn applied(&self) -> usize {
+        self.queue.len() - self.pending
+    }
+
+    /// Whether pending queue entry `i` is the batch's last observation
+    /// of its address.
+    fn last_in_batch(&self, i: usize) -> bool {
+        let a = self.queue[i];
+        !self.queue.range(i + 1..).any(|&b| b == a)
+    }
+
+    /// The remembered addresses, least recently observed first, as if the
+    /// pending batch were applied: an exact LRU keeps the newest
+    /// `capacity` distinct addresses in order of their last observation,
+    /// so that is the applied live sequence without the addresses the
+    /// batch observes again, then the batch's distinct addresses in order
+    /// of their last observation, cut to the newest `capacity`.
+    ///
+    /// One pass over the table marks the queue position of every live
+    /// stamp (every stamp in the table is that of an applied queue entry,
+    /// so it lies in `front..front + applied`); each pending entry
+    /// unmarks its address's applied entry and marks itself if it is its
+    /// address's last in the batch; the queue walk keeps the marked
+    /// entries. Sequential scans and one probe per pending entry, in
+    /// place of one probe per queue entry.
     fn live(&self) -> impl Iterator<Item = LineAddr> + '_ {
-        let mut marked = vec![false; self.queue.len()];
+        let (applied, end) = (self.applied(), self.queue.len());
+        let mut marked = vec![false; end];
         for stamp in self.present.stamps() {
             if let Some(m) = marked.get_mut((stamp - self.front) as usize) {
                 *m = true;
             }
         }
+        for i in applied..end {
+            if let Some(stamp) = self.present.get(self.queue[i]) {
+                marked[(stamp - self.front) as usize] = false;
+            }
+            marked[i] = self.last_in_batch(i);
+        }
+        let held = marked.iter().filter(|&&m| m).count();
         self.queue
             .iter()
             .zip(marked)
             .filter_map(|(&a, live)| live.then_some(a))
+            .skip(held.saturating_sub(self.capacity))
     }
 
     /// Hashes the predictor's behavioral state into `h`: the capacity and
@@ -170,7 +240,7 @@ impl NodePrefetchPredictor {
     /// are not stored; they carry no behavior.
     pub fn snap_save(&self, w: &mut ring_snapshot::SnapWriter) {
         w.put(&self.capacity);
-        w.put(&(self.present.len() as u64));
+        w.put(&(self.len() as u64));
         for a in self.live() {
             w.put(&a);
         }
@@ -211,6 +281,7 @@ impl NodePrefetchPredictor {
             queue,
             front: 0,
             present,
+            pending: 0,
             observations: r.get()?,
             prefetch_hits: r.get()?,
             prefetch_suppressions: r.get()?,
@@ -566,6 +637,112 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The unbatched `observe`: each observation is applied to the table
+    /// at once. Kept as the test oracle the batched predictor must match;
+    /// a predictor fed only through it never holds a pending batch, so
+    /// its readers report its table as it is.
+    fn observe_unbatched(npp: &mut NodePrefetchPredictor, addr: LineAddr) {
+        if npp.capacity == 0 {
+            return;
+        }
+        npp.observations += 1;
+        let stamp = npp.front + npp.queue.len() as u64;
+        npp.present.insert(addr, stamp);
+        npp.queue.push_back(addr);
+        while npp.present.len() > npp.capacity {
+            let Some(old) = npp.queue.pop_front() else {
+                break;
+            };
+            if npp.present.get(old) == Some(npp.front) {
+                npp.present.remove(old);
+            }
+            npp.front += 1;
+        }
+        while npp.queue.len() > npp.capacity * 4 {
+            match npp.queue.front() {
+                Some(&old) if npp.present.get(old) != Some(npp.front) => {
+                    npp.queue.pop_front();
+                    npp.front += 1;
+                }
+                _ => break,
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The batched predictor against the unbatched oracle, one
+        /// observation at a time. A run of one address can outlast a
+        /// batch, so flushes land mid-run; after every observation each
+        /// reader (`len`, `is_empty`, `live`, `digest`, `snap_save`) is
+        /// compared with no flush. Prefetch queries flush, after which
+        /// the queues are equal entry for entry; clones and snapshot
+        /// round trips (of both sides) carry a pending batch or its
+        /// flushed view forward.
+        #[test]
+        fn batched_observations_match_the_unbatched_oracle(
+            cap_ix in 0usize..5,
+            steps in proptest::collection::vec((0u64..1000, 1usize..BATCH + 2, 0u64..1000, 0u32..6), 1..80),
+        ) {
+            let capacity = [0, 1, 3, 7, 64][cap_ix];
+            // Twice as many addresses as the table holds, and then some:
+            // both refreshes and evictions occur at every capacity.
+            let addr = |x: u64| LineAddr::new(x % (2 * capacity as u64 + 4));
+            let mut npp = NodePrefetchPredictor::new(capacity);
+            let mut oracle = NodePrefetchPredictor::new(capacity);
+            for (seen, run, probe, roll) in steps {
+                for _ in 0..run {
+                    npp.observe(addr(seen));
+                    observe_unbatched(&mut oracle, addr(seen));
+                    proptest::prop_assert!(npp.pending < BATCH);
+                    proptest::prop_assert_eq!(npp.observations(), oracle.observations());
+                    proptest::prop_assert_eq!(npp.len(), oracle.len());
+                    proptest::prop_assert_eq!(npp.is_empty(), oracle.is_empty());
+                    proptest::prop_assert!(npp.live().eq(oracle.live()));
+                    proptest::prop_assert_eq!(digest_of(&npp), digest_of(&oracle));
+                    proptest::prop_assert_eq!(saved(&npp), saved(&oracle));
+                }
+                match roll {
+                    0 => {
+                        let probe = addr(probe);
+                        proptest::prop_assert_eq!(npp.should_prefetch(probe), oracle.should_prefetch(probe));
+                        proptest::prop_assert_eq!(npp.pending, 0);
+                        proptest::prop_assert_eq!(&npp.queue, &oracle.queue);
+                        proptest::prop_assert_eq!(npp.front, oracle.front);
+                        proptest::prop_assert_eq!(npp.present.len(), oracle.present.len());
+                    }
+                    1 => npp = npp.clone(),
+                    2 => {
+                        npp = loaded(&saved(&npp)).expect("a saved predictor loads");
+                        oracle = loaded(&saved(&oracle)).expect("a saved predictor loads");
+                        proptest::prop_assert_eq!(&npp.queue, &oracle.queue);
+                    }
+                    _ => {}
+                }
+                proptest::prop_assert_eq!(saved(&npp), saved(&oracle));
+            }
+        }
+    }
+
+    /// A flush applies the pending batch and changes no reader.
+    #[test]
+    fn flush_applies_the_batch_and_changes_no_reader() {
+        let mut npp = NodePrefetchPredictor::new(3);
+        for a in [4, 5, 4, 6, 7] {
+            npp.observe(LineAddr::new(a));
+        }
+        assert_eq!(npp.pending, 5);
+        assert!(npp.present.is_empty());
+        let (bytes, digest) = (saved(&npp), digest_of(&npp));
+        assert_eq!(npp.len(), 3);
+        assert!(npp.live().eq([4, 6, 7].map(LineAddr::new)));
+        npp.flush();
+        assert_eq!(npp.pending, 0);
+        assert_eq!(npp.present.len(), 3);
+        assert_eq!((saved(&npp), digest_of(&npp)), (bytes, digest));
+        assert!(!npp.should_prefetch(LineAddr::new(4)));
+        assert!(npp.should_prefetch(LineAddr::new(5)));
     }
 
     /// `n` addresses whose probe chains start at the last slot of every

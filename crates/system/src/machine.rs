@@ -1350,11 +1350,14 @@ impl NodeAgent for RingAgent {
         // Every node's prefetch predictor has seen the warm lines: they
         // were coherence traffic during the skipped initialization. Each
         // would observe the same lines in the same order, so one
-        // predictor observes them and every agent gets its own copy.
+        // predictor observes them and every agent gets its own copy,
+        // with the last observations already applied, so that no agent
+        // applies them again on its own.
         let mut npp = NodePrefetchPredictor::new(m.cfg.protocol.npp_capacity());
         for &(line, _) in lines {
             npp.observe(line);
         }
+        npp.flush();
         for agent in &mut m.agents {
             agent.warm_prefetch_predictor(&npp);
         }
